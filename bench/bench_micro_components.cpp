@@ -62,14 +62,18 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample);
 
+// Each access is recorded the way a shard records one: in the
+// neighborhood's access ledger, then with the scorer.
 template <typename Strategy>
-void run_strategy_loop(benchmark::State& state, Strategy& strategy) {
+void run_strategy_loop(benchmark::State& state, cache::AccessLedger& ledger,
+                       Strategy& strategy) {
   Rng rng(4);
   std::int64_t t = 0;
   // Keep ~200 programs cached, churning.
   for (auto _ : state) {
     t += 1000;
     const ProgramId p{static_cast<std::uint32_t>(rng.uniform_u64(2000))};
+    ledger.record_access(p, sim::SimTime::millis(t));
     strategy.record_access(p, sim::SimTime::millis(t));
     if (!strategy.is_cached(p)) {
       if (strategy.cached_count() >= 200) {
@@ -83,14 +87,16 @@ void run_strategy_loop(benchmark::State& state, Strategy& strategy) {
 }
 
 void BM_LruStrategy(benchmark::State& state) {
-  cache::LruStrategy lru;
-  run_strategy_loop(state, lru);
+  cache::AccessLedger ledger(2000, sim::SimTime{});
+  cache::LruStrategy lru(ledger);
+  run_strategy_loop(state, ledger, lru);
 }
 BENCHMARK(BM_LruStrategy);
 
 void BM_LfuStrategy(benchmark::State& state) {
-  cache::LfuStrategy lfu(sim::SimTime::hours(72));
-  run_strategy_loop(state, lfu);
+  cache::AccessLedger ledger(2000, sim::SimTime::hours(72));
+  cache::LfuStrategy lfu(ledger);
+  run_strategy_loop(state, ledger, lfu);
 }
 BENCHMARK(BM_LfuStrategy);
 
@@ -103,8 +109,9 @@ void BM_OracleStrategy(benchmark::State& state) {
                    static_cast<std::int64_t>(rng.uniform_u64(1'000'000'000))));
   }
   future.freeze();
-  cache::OracleStrategy oracle(future, sim::SimTime::days(3));
-  run_strategy_loop(state, oracle);
+  cache::AccessLedger ledger(2000, sim::SimTime{});
+  cache::OracleStrategy oracle(future, ledger, sim::SimTime::days(3));
+  run_strategy_loop(state, ledger, oracle);
 }
 BENCHMARK(BM_OracleStrategy);
 

@@ -23,9 +23,10 @@
 //    as a shadow cache and emits the full matrix from one replay.
 //
 // The old per-cell standalone runs survive as a cross-check: with
-// VODCACHE_SHADOW_CROSSCHECK=1 a handful of cells — chosen to cover the
-// Oracle future index and the GlobalLFU replay board wiring — are re-run
-// standalone and their counters asserted equal to the shadow cells, bit
+// VODCACHE_SHADOW_CROSSCHECK=1 one cell per scorer kind — every scorer
+// reads the shard's shared access ledger, and the Oracle and GlobalLFU
+// cells also cover the future index and replay board wiring — is re-run
+// standalone and its counters asserted equal to the shadow cell's, bit
 // for bit.  (tests/shadow_bank_test.cpp does the exhaustive sweep at test
 // scale; this is the bench-scale spot check CI runs.)
 //
@@ -217,12 +218,20 @@ int main() {
             << analysis::Table::num(shadow_rate, 0)
             << " sessions/s in the shadow pass\n";
 
-  // Cross-check: a cell per primary-state flavor — GreedyDual (plain
-  // scorer) x second-hit, Oracle (future index) x sketch-lfu, and
-  // GlobalLFU (replay board) x coax-headroom.
+  // Cross-check: one cell per scorer kind, each reading its own slice of
+  // the shared ledger — LRU (recency) x always, LFU (window counts) x
+  // adaptive-headroom, GreedyDual (cumulative counts) x second-hit, Oracle
+  // (future index) x sketch-lfu, and GlobalLFU (replay cursor) x
+  // coax-headroom.
   if (const char* env = std::getenv("VODCACHE_SHADOW_CROSSCHECK");
       env != nullptr && std::string(env) == "1") {
     bool ok = true;
+    ok &= crosscheck_cell(trace, config, core::StrategyKind::Lru,
+                          core::AdmissionKind::Always,
+                          find_cell(pass2.report, "LRU", "always"));
+    ok &= crosscheck_cell(trace, config, core::StrategyKind::Lfu,
+                          core::AdmissionKind::AdaptiveHeadroom,
+                          find_cell(pass2.report, "LFU", "adaptive-headroom"));
     ok &= crosscheck_cell(trace, config, core::StrategyKind::GreedyDual,
                           core::AdmissionKind::SecondHit,
                           find_cell(pass2.report, "GreedyDual", "second-hit"));

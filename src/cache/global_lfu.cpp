@@ -1,141 +1,36 @@
 #include "cache/global_lfu.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-
 namespace vodcache::cache {
 
-GlobalLfuStrategy::GlobalLfuStrategy(std::shared_ptr<PopularityBoard> board)
-    : board_(std::move(board)) {
-  VODCACHE_EXPECTS(board_ != nullptr);
-  reserve_for(board_->program_count());
-  if (board_->lag() == sim::SimTime{}) {
-    // Live mode: mark cached programs dirty when any neighborhood changes
-    // their global count; re-ranking happens at the next victim decision.
-    board_->subscribe([this](ProgramId program, sim::SimTime t) {
-      mark_dirty(program);
-      dirty_time_ = std::max(dirty_time_, t);
-    });
-  }
-}
-
-GlobalLfuStrategy::GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
-                                     const sim::ReplayClock* clock)
-    : replay_(std::move(board)), clock_(clock) {
-  VODCACHE_EXPECTS(replay_ != nullptr);
-  VODCACHE_EXPECTS(clock_ != nullptr);
-  reserve_for(replay_->program_count());
-  ReplayCursor::ChangeCallback on_change;
-  if (replay_->lag() == sim::SimTime{}) {
-    on_change = [this](ProgramId program) { mark_dirty(program); };
-  }
-  cursor_ = std::make_unique<ReplayCursor>(*replay_, std::move(on_change));
-}
-
-sim::SimTime GlobalLfuStrategy::lag() const {
-  return board_ != nullptr ? board_->lag() : replay_->lag();
-}
-
-void GlobalLfuStrategy::reserve_for(std::size_t program_count) {
-  last_access_.reserve(program_count);
-  local_since_snapshot_.reserve(program_count);
-  dirty_flag_.resize(program_count, 0);
-}
-
-void GlobalLfuStrategy::mark_dirty(ProgramId program) {
-  if (!is_cached(program)) return;
-  if (program.value() >= dirty_flag_.size()) {
-    dirty_flag_.resize(program.value() + 1, 0);
-  }
-  if (dirty_flag_[program.value()] != 0) return;
-  dirty_flag_[program.value()] = 1;
-  dirty_list_.push_back(program);
-}
-
-void GlobalLfuStrategy::rerank_dirty(sim::SimTime t) {
-  if (dirty_list_.empty()) return;
-  // Re-score on a drained copy: scoring can advance the live board (or the
-  // replay cursor), whose notifications would otherwise append to the list
-  // mid-iteration.  swap() recycles both buffers at their high-water marks.
-  rerank_scratch_.clear();
-  rerank_scratch_.swap(dirty_list_);
-  for (const ProgramId program : rerank_scratch_) {
-    dirty_flag_[program.value()] = 0;
-  }
-  for (const ProgramId program : rerank_scratch_) {
-    if (is_cached(program)) cached().update(program, score(program, t));
-  }
-}
-
-bool GlobalLfuStrategy::snapshot_turned(sim::SimTime t) {
-  std::uint64_t epoch = 0;
-  if (board_ != nullptr) {
-    board_->advance(t);
-    epoch = board_->snapshot_epoch();
-  } else {
-    cursor_->advance(t, clock_->position, clock_->visible);
-    epoch = cursor_->snapshot_epoch();
-  }
-  if (epoch == seen_epoch_) return false;
-  seen_epoch_ = epoch;
-  return true;
+GlobalLfuStrategy::GlobalLfuStrategy(AccessLedger& ledger)
+    : ScoredStrategy(ledger), lagged_(ledger.global_lag() > sim::SimTime{}) {
+  ledger.attach_global(&stale());
 }
 
 void GlobalLfuStrategy::refresh(sim::SimTime t) {
-  if (lag() == sim::SimTime{}) {
-    // Replay mode advances its cursor first so that expiries between the
-    // shard's events are applied (and dirty-marked) before re-ranking; the
-    // live board is advanced by every record from every neighborhood, so
-    // its subscribers are already up to date.
-    if (cursor_ != nullptr) {
-      cursor_->advance(t, clock_->position, clock_->visible);
-    }
-    rerank_dirty(board_ != nullptr ? std::max(t, dirty_time_) : t);
-    return;
-  }
-  if (!snapshot_turned(t)) return;
+  // Advancing applies the expiries and remote accesses since the last
+  // event; at lag 0 they mark their cached programs stale.
+  ledger().advance_global(t);
+  if (!lagged_ || ledger().snapshot_epoch() == seen_epoch_) return;
   // A new global batch arrived: local deltas are folded into it; re-rank
   // everything we hold.
-  local_since_snapshot_.clear();
+  seen_epoch_ = ledger().snapshot_epoch();
   cached().for_each_program(
       [&](ProgramId program) { cached().update(program, score(program, t)); });
 }
 
 void GlobalLfuStrategy::record_access(ProgramId program, sim::SimTime t) {
+  if (!lagged_) {
+    stale().mark(program);
+    return;
+  }
   refresh(t);
-  std::int64_t* seq = last_access_.find(program.value());
-  if (seq == nullptr) seq = &last_access_.insert(program.value(), 0);
-  *seq = next_sequence();
-  if (board_ != nullptr) {
-    board_->record(program, t);
-  } else {
-    cursor_->ingest_local(program, t, clock_->visible);
-  }
-  if (lag() > sim::SimTime{}) {
-    std::int64_t* delta = local_since_snapshot_.find(program.value());
-    if (delta == nullptr) delta = &local_since_snapshot_.insert(program.value(), 0);
-    ++*delta;
-  }
   cached().update(program, score(program, t));
 }
 
-std::int64_t GlobalLfuStrategy::global_count(ProgramId program,
-                                             sim::SimTime t) {
-  if (board_ != nullptr) return board_->visible_count(program, t);
-  cursor_->advance(t, clock_->position, clock_->visible);
-  return cursor_->visible_count(program);
-}
-
 Score GlobalLfuStrategy::score(ProgramId program, sim::SimTime t) {
-  const std::int64_t* last = last_access_.find(program.value());
-  const std::int64_t seq = last == nullptr ? 0 : *last;
-  std::int64_t count = global_count(program, t);
-  if (lag() > sim::SimTime{}) {
-    const std::int64_t* delta = local_since_snapshot_.find(program.value());
-    if (delta != nullptr) count += *delta;
-  }
-  return {count, seq};
+  ledger().advance_global(t);
+  return {ledger().global_count(program), ledger().last_access(program)};
 }
 
 }  // namespace vodcache::cache

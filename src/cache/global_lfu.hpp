@@ -6,41 +6,29 @@
 //   lag > 0  : (global count at last snapshot + local accesses since that
 //               snapshot, local recency)
 //
-// The strategy runs in one of two modes over the same scoring logic:
-//
-//  * live mode — every neighborhood's strategy shares one mutable
-//    PopularityBoard and learns of remote accesses through its
-//    subscription.  This is the directly-testable spec of the semantics,
-//    and requires all neighborhoods to advance through time together.
-//  * replay mode — the strategy reads an immutable, trace-prebuilt
-//    ReplayBoard through its own ReplayCursor, paced by the owning shard's
-//    ReplayClock.  No cross-neighborhood synchronization, so shards can
-//    run on different threads; counts are exact at every decision point
-//    (the live board's lazily-deferred expiries are applied eagerly, see
-//    README "Architecture").
+// The popularity data is an immutable, trace-prebuilt ReplayBoard read
+// through one ReplayCursor per shard — the neighborhood AccessLedger's —
+// paced by the shard's ReplayClock.  No cross-neighborhood
+// synchronization, so shards can run on different threads; counts are
+// exact at every decision point (see README "Architecture").  At lag 0
+// every count change the cursor makes to a cached program marks it stale
+// here; at lag > 0 counts only move at snapshot turns (and local
+// accesses), and a turn re-ranks the whole cached set.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "cache/popularity_board.hpp"
 #include "cache/strategy.hpp"
-#include "sim/replay_clock.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
 class GlobalLfuStrategy final : public ScoredStrategy {
  public:
-  // Live mode: one shared mutable board.
-  explicit GlobalLfuStrategy(std::shared_ptr<PopularityBoard> board);
-  // Replay mode: immutable prebuilt board, paced by the shard's clock
-  // (both must outlive the strategy; the clock is owned by the shard).
-  GlobalLfuStrategy(std::shared_ptr<const ReplayBoard> board,
-                    const sim::ReplayClock* clock);
+  // The ledger must carry a replay board.
+  explicit GlobalLfuStrategy(AccessLedger& ledger);
 
   [[nodiscard]] std::string_view name() const override {
-    return lag() == sim::SimTime{} ? "GlobalLFU" : "GlobalLFU(lagged)";
+    return lagged_ ? "GlobalLFU(lagged)" : "GlobalLFU";
   }
 
   void record_access(ProgramId program, sim::SimTime t) override;
@@ -48,38 +36,10 @@ class GlobalLfuStrategy final : public ScoredStrategy {
 
  private:
   void refresh(sim::SimTime t) override;
-  [[nodiscard]] sim::SimTime lag() const;
-  [[nodiscard]] std::int64_t global_count(ProgramId program, sim::SimTime t);
-  void reserve_for(std::size_t program_count);
-  void mark_dirty(ProgramId program);
-  void rerank_dirty(sim::SimTime t);
-  // True when a new global snapshot became visible since the last refresh
-  // (lag > 0 only); updates the seen epoch as a side effect.
-  [[nodiscard]] bool snapshot_turned(sim::SimTime t);
 
-  // Live mode.
-  std::shared_ptr<PopularityBoard> board_;
-  // Replay mode.
-  std::shared_ptr<const ReplayBoard> replay_;
-  const sim::ReplayClock* clock_ = nullptr;
-  std::unique_ptr<ReplayCursor> cursor_;
-
-  // Flat and pre-sized for the catalog: the record path must not allocate
-  // in steady state (the zero-alloc audit covers shadow GlobalLFUs riding
-  // the shard hot path).
-  util::FlatMap64<std::int64_t> last_access_;
-  // lag > 0 only: local accesses since the snapshot we last saw.
-  util::FlatMap64<std::int64_t> local_since_snapshot_;
+  bool lagged_;
+  // lag > 0: the ledger's snapshot epoch this scorer last ranked against.
   std::uint64_t seen_epoch_ = 0;
-  // lag == 0 only: cached programs whose global count changed since the
-  // last refresh.  Re-ranking is deferred to the next victim decision so a
-  // burst of remote accesses costs one update, not one per access.  A flat
-  // dedup set — per-program flag plus a compact list — whose buffers (and
-  // the rerank scratch they swap with) recycle at their high-water marks.
-  std::vector<std::uint8_t> dirty_flag_;
-  std::vector<ProgramId> dirty_list_;
-  std::vector<ProgramId> rerank_scratch_;
-  sim::SimTime dirty_time_;
 };
 
 }  // namespace vodcache::cache

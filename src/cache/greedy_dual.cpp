@@ -6,35 +6,31 @@
 
 namespace vodcache::cache {
 
-GreedyDualScorer::GreedyDualScorer(const trace::Catalog& catalog)
-    : catalog_(catalog),
-      counts_(catalog.size(), 0),
-      last_access_(catalog.size(), 0) {}
-
-std::int64_t GreedyDualScorer::credit(ProgramId program) const {
-  VODCACHE_EXPECTS(program.value() < counts_.size());
-  const auto seconds = std::max<std::int64_t>(
-      1, catalog_.length(program).millis_count() / 1000);
-  return counts_[program.value()] * kCreditScale / seconds;
+GreedyDualScorer::GreedyDualScorer(const trace::Catalog& catalog,
+                                   AccessLedger& ledger)
+    : ScoredStrategy(ledger), catalog_(catalog) {
+  VODCACHE_EXPECTS(ledger.program_count() == catalog.size());
+  ledger.attach_totals();
 }
 
-void GreedyDualScorer::record_access(ProgramId program, sim::SimTime t) {
-  VODCACHE_EXPECTS(program.value() < counts_.size());
-  ++counts_[program.value()];
-  const std::int64_t seq = next_sequence();
-  last_access_[program.value()] = seq;
+std::int64_t GreedyDualScorer::credit(ProgramId program) const {
+  const auto seconds = std::max<std::int64_t>(
+      1, catalog_.length(program).millis_count() / 1000);
+  return ledger().total_count(program) * kCreditScale / seconds;
+}
+
+void GreedyDualScorer::record_access(ProgramId program, sim::SimTime /*t*/) {
   // A touch re-prices the resident at the current inflation level —
   // exactly the GreedyDual "restore H on hit" rule.
-  cached().update(program, {inflation_ + credit(program), seq});
-  (void)t;
+  cached().update(program,
+                  {inflation_ + credit(program), ledger().last_access(program)});
 }
 
 Score GreedyDualScorer::score(ProgramId program, sim::SimTime /*t*/) {
   // Residents keep the H frozen at their last touch (an older, smaller L);
   // candidates are priced at today's L.  This asymmetry is the aging.
   if (const auto stored = cached().score_of(program)) return *stored;
-  VODCACHE_EXPECTS(program.value() < counts_.size());
-  return {inflation_ + credit(program), last_access_[program.value()]};
+  return {inflation_ + credit(program), ledger().last_access(program)};
 }
 
 void GreedyDualScorer::on_evict(ProgramId program) {

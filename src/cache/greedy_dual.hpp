@@ -21,8 +21,6 @@
 // invariant.
 #pragma once
 
-#include <vector>
-
 #include "cache/strategy.hpp"
 #include "trace/catalog.hpp"
 
@@ -33,8 +31,9 @@ class GreedyDualScorer final : public ScoredStrategy {
   // Lengths are read from the shared immutable catalog (one per run, not
   // per neighborhood — at a thousand shards an owned copy of the length
   // table would be pure duplication).  The catalog must outlive the
-  // scorer, exactly as it already outlives the shard that owns it.
-  explicit GreedyDualScorer(const trace::Catalog& catalog);
+  // scorer, exactly as it already outlives the shard that owns it.  Access
+  // counts are the ledger's cumulative counts.
+  GreedyDualScorer(const trace::Catalog& catalog, AccessLedger& ledger);
 
   [[nodiscard]] std::string_view name() const override { return "GreedyDual"; }
 
@@ -54,8 +53,6 @@ class GreedyDualScorer final : public ScoredStrategy {
   [[nodiscard]] std::int64_t credit(ProgramId program) const;
 
   const trace::Catalog& catalog_;
-  std::vector<std::int64_t> counts_;
-  std::vector<std::int64_t> last_access_;
   std::int64_t inflation_ = 0;
 };
 

@@ -1,53 +1,19 @@
 #include "cache/lfu.hpp"
 
-#include "util/assert.hpp"
-
 namespace vodcache::cache {
 
-LfuStrategy::LfuStrategy(sim::SimTime history) : history_(history) {
-  VODCACHE_EXPECTS(history >= sim::SimTime{});
+LfuStrategy::LfuStrategy(AccessLedger& ledger) : ScoredStrategy(ledger) {
+  ledger.attach_window(&stale());
 }
 
-void LfuStrategy::expire(sim::SimTime now) {
-  const sim::SimTime cutoff = now - history_;
-  while (!window_.empty() && window_.front().time < cutoff) {
-    const ProgramId program = window_.front().program;
-    window_.pop_front();
-    std::int64_t* count = counts_.find(program.value());
-    VODCACHE_ASSERT(count != nullptr && *count > 0);
-    if (--*count == 0) counts_.erase(program.value());
-    // Re-rank if this program is cached.
-    cached().update(program, score(program, now));
-  }
-}
-
-void LfuStrategy::record_access(ProgramId program, sim::SimTime t) {
-  expire(t);
-  const std::int64_t seq = next_sequence();
-  if (std::int64_t* last = last_access_.find(program.value())) {
-    *last = seq;
-  } else {
-    last_access_.insert(program.value(), seq);
-  }
-  if (history_ > sim::SimTime{}) {
-    window_.push_back({t, program});
-    if (std::int64_t* count = counts_.find(program.value())) {
-      ++*count;
-    } else {
-      counts_.insert(program.value(), 1);
-    }
-  }
-  cached().update(program, score(program, t));
+void LfuStrategy::record_access(ProgramId program, sim::SimTime /*t*/) {
+  // The ledger already counted the access in; expiries it made on the way
+  // marked their programs stale.
+  stale().mark(program);
 }
 
 Score LfuStrategy::score(ProgramId program, sim::SimTime /*t*/) {
-  const std::int64_t* last = last_access_.find(program.value());
-  return {frequency(program), last == nullptr ? 0 : *last};
-}
-
-std::int64_t LfuStrategy::frequency(ProgramId program) const {
-  const std::int64_t* count = counts_.find(program.value());
-  return count == nullptr ? 0 : *count;
+  return {ledger().window_count(program), ledger().last_access(program)};
 }
 
 }  // namespace vodcache::cache

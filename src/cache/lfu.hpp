@@ -5,49 +5,33 @@
 // in the cache, with ties being resolved using an LRU strategy."
 //
 // Score = (accesses within the sliding window, recency sequence).  The
-// window advances on every access; expiring an event decrements its
-// program's count and, if that program is cached, re-ranks it — CachedSet
-// absorbs the downward move by pushing a fresh heap entry.
-//
-// State lives in flat containers (util/flat_map.hpp): the event window in
-// a ring buffer that grows to its high-water mark and then cycles
-// allocation-free, the per-program counts and recency sequences in
-// open-addressed tables sized by the touched content set.
+// window itself is the neighborhood's AccessLedger's: it advances on every
+// access, and an expiry that lowers a cached program's count marks it
+// stale here, to be re-ranked at the next victim decision.  The window
+// length is the ledger's (one per shard, from the run's configuration).
 //
 // history == 0 degenerates to pure LRU (the paper's figure 11 uses this as
 // its leftmost point).
 #pragma once
 
 #include "cache/strategy.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
 class LfuStrategy final : public ScoredStrategy {
  public:
-  explicit LfuStrategy(sim::SimTime history);
+  explicit LfuStrategy(AccessLedger& ledger);
 
   [[nodiscard]] std::string_view name() const override { return "LFU"; }
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
 
-  [[nodiscard]] sim::SimTime history() const { return history_; }
+  [[nodiscard]] sim::SimTime history() const { return ledger().lfu_history(); }
   // Current in-window access count (exposed for tests).
-  [[nodiscard]] std::int64_t frequency(ProgramId program) const;
-
- private:
-  void expire(sim::SimTime now);
-
-  struct HistoryEvent {
-    sim::SimTime time;
-    ProgramId program;
-  };
-
-  sim::SimTime history_;
-  util::RingBuffer<HistoryEvent> window_;
-  util::FlatMap64<std::int64_t> counts_;
-  util::FlatMap64<std::int64_t> last_access_;
+  [[nodiscard]] std::int64_t frequency(ProgramId program) const {
+    return ledger().window_count(program);
+  }
 };
 
 }  // namespace vodcache::cache

@@ -6,23 +6,22 @@
 //
 // Score = (recency sequence, 0): a just-accessed candidate always outranks
 // the least-recently-used cached program, so admission is unconditional,
-// exactly as the paper specifies.
+// exactly as the paper specifies.  The sequence comes from the
+// neighborhood's AccessLedger.
 #pragma once
 
 #include "cache/strategy.hpp"
-#include "util/flat_map.hpp"
 
 namespace vodcache::cache {
 
 class LruStrategy final : public ScoredStrategy {
  public:
+  explicit LruStrategy(AccessLedger& ledger) : ScoredStrategy(ledger) {}
+
   [[nodiscard]] std::string_view name() const override { return "LRU"; }
 
   void record_access(ProgramId program, sim::SimTime t) override;
   [[nodiscard]] Score score(ProgramId program, sim::SimTime t) override;
-
- private:
-  util::FlatMap64<std::int64_t> last_access_;
 };
 
 }  // namespace vodcache::cache

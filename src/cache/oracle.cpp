@@ -4,9 +4,11 @@
 
 namespace vodcache::cache {
 
-OracleStrategy::OracleStrategy(const FutureIndex& future, sim::SimTime lookahead,
+OracleStrategy::OracleStrategy(const FutureIndex& future, AccessLedger& ledger,
+                               sim::SimTime lookahead,
                                sim::SimTime refresh_interval)
-    : future_(future),
+    : ScoredStrategy(ledger),
+      future_(future),
       lookahead_(lookahead),
       refresh_interval_(refresh_interval) {
   // `future` need not be frozen yet: under the job-graph executor the
@@ -14,7 +16,6 @@ OracleStrategy::OracleStrategy(const FutureIndex& future, sim::SimTime lookahead
   // query behind the full pass.  count_in() still asserts frozen at use.
   VODCACHE_EXPECTS(lookahead > sim::SimTime{});
   VODCACHE_EXPECTS(refresh_interval > sim::SimTime{});
-  last_access_.reserve(future.program_count());
 }
 
 void OracleStrategy::refresh(sim::SimTime t) {
@@ -26,16 +27,12 @@ void OracleStrategy::refresh(sim::SimTime t) {
 
 void OracleStrategy::record_access(ProgramId program, sim::SimTime t) {
   refresh(t);
-  std::int64_t* seq = last_access_.find(program.value());
-  if (seq == nullptr) seq = &last_access_.insert(program.value(), 0);
-  *seq = next_sequence();
   cached().update(program, score(program, t));
 }
 
 Score OracleStrategy::score(ProgramId program, sim::SimTime t) {
-  const std::int64_t* seq = last_access_.find(program.value());
   return {future_.count_in(program, t, lookahead_),
-          seq == nullptr ? 0 : *seq};
+          ledger().last_access(program)};
 }
 
 }  // namespace vodcache::cache

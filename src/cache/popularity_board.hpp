@@ -1,5 +1,5 @@
-// PopularityBoard: system-wide program popularity, shared by every
-// neighborhood's Global-LFU strategy (paper section VI-A, figure 13).
+// ReplayBoard + ReplayCursor: system-wide program popularity for the
+// Global-LFU strategy (paper section VI-A, figure 13).
 //
 // The board keeps a sliding window of all session starts across the whole
 // deployment.  Two visibility modes:
@@ -13,25 +13,18 @@
 //    local accesses — "the local data is only augmented with global
 //    information in batches after a certain length of time has passed".
 //
-// Time must be fed in non-decreasing order, which the single-threaded
-// discrete-event simulation guarantees.
-//
-// Two forms live here:
-//
-//  * PopularityBoard — the live, mutable board: one shared instance fed by
-//    every neighborhood as the (serial) simulation discovers accesses.
-//  * ReplayBoard + ReplayCursor — the sharded form.  Because the board is
-//    only ever fed at *session starts*, and session starts come straight
-//    from the sorted trace, the entire access timeline can be prebuilt
-//    before the run (exactly like FutureIndex does for the oracle).  The
-//    ReplayBoard is that immutable timeline; each shard then owns a
-//    ReplayCursor, a cheap mutable read position that reproduces the live
-//    board's visible counts at any (time, trace-position) pair without any
-//    cross-shard synchronization.
+// Because the board is only ever fed at *session starts*, and session
+// starts come straight from the sorted trace, the entire access timeline
+// can be prebuilt before the run (exactly like FutureIndex does for the
+// oracle).  The ReplayBoard is that immutable timeline; each shard then
+// owns a ReplayCursor (inside its AccessLedger), a cheap mutable read
+// position that reproduces a live, shared board's visible counts at any
+// (time, trace-position) pair without any cross-shard synchronization.
+// The live board itself survives as the test-side spec the cursor is
+// checked against (tests/reference_popularity_board.hpp).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -41,52 +34,6 @@
 #include "util/stable_vector.hpp"
 
 namespace vodcache::cache {
-
-class PopularityBoard {
- public:
-  PopularityBoard(std::size_t program_count, sim::SimTime window,
-                  sim::SimTime lag);
-
-  // A session started anywhere in the system.
-  void record(ProgramId program, sim::SimTime t);
-
-  // Advance the clock (expiry + snapshot batching) without recording.
-  void advance(sim::SimTime t);
-
-  // Accesses for `program` visible to neighborhoods at time `t`:
-  // live in-window count when lag == 0, last snapshot otherwise.
-  [[nodiscard]] std::int64_t visible_count(ProgramId program, sim::SimTime t);
-
-  // Incremented every time a snapshot is published (lag > 0).
-  [[nodiscard]] std::uint64_t snapshot_epoch() const { return epoch_; }
-
-  [[nodiscard]] sim::SimTime window() const { return window_; }
-  [[nodiscard]] sim::SimTime lag() const { return lag_; }
-  [[nodiscard]] std::size_t program_count() const { return live_.size(); }
-
-  // Live-mode change notifications: called as (program, time) whenever the
-  // live count of `program` changes.  Only fired when lag == 0.
-  void subscribe(std::function<void(ProgramId, sim::SimTime)> callback);
-
- private:
-  void expire(sim::SimTime cutoff, sim::SimTime now);
-  void publish_snapshots(sim::SimTime t);
-  void notify(ProgramId program, sim::SimTime t);
-
-  struct Event {
-    sim::SimTime time;
-    ProgramId program;
-  };
-
-  sim::SimTime window_;
-  sim::SimTime lag_;
-  std::deque<Event> events_;
-  std::vector<std::int64_t> live_;
-  std::vector<std::int64_t> snapshot_;
-  sim::SimTime next_batch_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::function<void(ProgramId, sim::SimTime)>> subscribers_;
-};
 
 // The trace-prebuilt access timeline.  In the serial engine it is built in
 // full, frozen, then shared read-only by all shards.  Under the job-graph
@@ -151,8 +98,8 @@ class ReplayBoard {
   bool frozen_ = false;
 };
 
-// A shard-local read position over a frozen ReplayBoard.  Reproduces the
-// live board's semantics:
+// A shard-local read position over a frozen ReplayBoard (one per shard, in
+// its AccessLedger).  Reproduces a live, shared board's semantics:
 //
 //   * advance(t, upto) makes the first `upto` accesses visible and expires
 //     ones older than t - window — the state a live board would hold after
@@ -164,9 +111,8 @@ class ReplayBoard {
 //   * lag > 0 publishes a snapshot whenever a batch boundary is crossed;
 //     the snapshot counts accesses in [boundary - window, boundary), which
 //     depends only on the trace, never on which shard asks first.
-//   * the change callback mirrors PopularityBoard::subscribe: it fires for
-//     every program whose live count changes (only wired up in live/lag==0
-//     mode, matching the board).
+//   * the change callback fires for every program whose live count changes
+//     (the ledger wires it up at lag == 0 only, where counts are live).
 class ReplayCursor {
  public:
   using ChangeCallback = std::function<void(ProgramId)>;

@@ -5,71 +5,60 @@
 namespace vodcache::cache {
 
 SegmentStore::SegmentStore(std::vector<DataSize> peer_contributions)
-    : contribution_(std::move(peer_contributions)),
-      used_by_peer_(contribution_.size()),
-      heap_bound_(std::max<std::size_t>(64, contribution_.size() * 4)) {
+    : contribution_(std::move(peer_contributions)) {
   VODCACHE_EXPECTS(!contribution_.empty());
-  free_heap_.reserve(heap_bound_ + 1);
-  parked_.reserve(heap_bound_ + 1);
-  for (std::size_t i = 0; i < contribution_.size(); ++i) {
-    VODCACHE_EXPECTS(contribution_[i] >= DataSize{});
-    capacity_ += contribution_[i];
-    push_heap_entry(static_cast<std::uint32_t>(i));
+  free_bits_.reserve(contribution_.size());
+  for (const DataSize contribution : contribution_) {
+    VODCACHE_EXPECTS(contribution >= DataSize{});
+    capacity_ += contribution;
+    free_bits_.push_back(contribution.bit_count());
+  }
+  while (tree_leaves_ < contribution_.size()) tree_leaves_ *= 2;
+  tree_.assign(2 * tree_leaves_, kNoPeer);
+  for (std::size_t peer = 0; peer < contribution_.size(); ++peer) {
+    tree_[tree_leaves_ + peer] = static_cast<std::uint32_t>(peer);
+  }
+  for (std::size_t node = tree_leaves_ - 1; node >= 1; --node) {
+    tree_[node] = better(tree_[2 * node], tree_[2 * node + 1]);
   }
 }
 
-void SegmentStore::compact_heap() {
-  // Rebuild with exactly one fresh (hence valid) entry per peer.  Stale
-  // entries never survive a pop and duplicate valid entries are identical
-  // pairs, so the multiset of valid entries — the only thing top() and the
-  // best_peer scan depend on — is preserved exactly.
-  free_heap_.clear();
-  for (std::uint32_t peer = 0;
-       peer < static_cast<std::uint32_t>(contribution_.size()); ++peer) {
-    const DataSize free = contribution_[peer] - used_by_peer_[peer];
-    free_heap_.emplace_back(free.bit_count(), peer);
+std::uint32_t SegmentStore::better(std::uint32_t a, std::uint32_t b) const {
+  if (a == kNoPeer) return b;
+  if (b == kNoPeer) return a;
+  if (free_bits_[a] != free_bits_[b]) {
+    return free_bits_[a] > free_bits_[b] ? a : b;
   }
-  std::make_heap(free_heap_.begin(), free_heap_.end());
+  return a > b ? a : b;
 }
 
-void SegmentStore::push_heap_entry(std::uint32_t peer) {
-  if (free_heap_.size() >= heap_bound_) compact_heap();
-  const DataSize free = contribution_[peer] - used_by_peer_[peer];
-  free_heap_.emplace_back(free.bit_count(), peer);
-  std::push_heap(free_heap_.begin(), free_heap_.end());
+void SegmentStore::add_free(std::uint32_t peer, std::int64_t delta) {
+  free_bits_[peer] += delta;
+  for (std::size_t node = (tree_leaves_ + peer) / 2; node >= 1; node /= 2) {
+    tree_[node] = better(tree_[2 * node], tree_[2 * node + 1]);
+  }
 }
 
-std::optional<PeerId> SegmentStore::best_peer(DataSize bytes,
-                                              std::span<const PeerId> exclude) {
-  // Valid-but-excluded entries are parked and re-pushed afterwards so the
-  // heap keeps its "true maximum always present" invariant.
-  parked_.clear();
-  std::optional<PeerId> chosen;
-  while (!free_heap_.empty()) {
-    const auto [claimed_free, peer] = free_heap_.front();
-    const DataSize actual_free = contribution_[peer] - used_by_peer_[peer];
-    if (claimed_free != actual_free.bit_count()) {
-      // Stale entry; a fresh one was pushed when the peer last changed.
-      std::pop_heap(free_heap_.begin(), free_heap_.end());
-      free_heap_.pop_back();
-      continue;
-    }
-    if (actual_free < bytes) break;  // max free can't fit
-    if (std::find(exclude.begin(), exclude.end(), PeerId{peer}) !=
-        exclude.end()) {
-      parked_.push_back(free_heap_.front());
-      std::pop_heap(free_heap_.begin(), free_heap_.end());
-      free_heap_.pop_back();
-      continue;
-    }
-    chosen = PeerId{peer};
-    break;
+std::uint32_t SegmentStore::best_excluding(
+    std::size_t node, std::span<const PeerId> exclude) const {
+  const std::uint32_t winner = tree_[node];
+  if (winner == kNoPeer ||
+      std::find(exclude.begin(), exclude.end(), PeerId{winner}) ==
+          exclude.end()) {
+    return winner;
   }
-  for (const auto& entry : parked_) {
-    free_heap_.push_back(entry);
-    std::push_heap(free_heap_.begin(), free_heap_.end());
+  if (node >= tree_leaves_) return kNoPeer;  // the excluded leaf itself
+  return better(best_excluding(2 * node, exclude),
+                best_excluding(2 * node + 1, exclude));
+}
+
+std::optional<PeerId> SegmentStore::best_peer(
+    DataSize bytes, std::span<const PeerId> exclude) const {
+  const std::uint32_t peer = best_excluding(1, exclude);
+  if (peer == kNoPeer || free_bits_[peer] < bytes.bit_count()) {
+    return std::nullopt;
   }
-  return chosen;
+  return PeerId{peer};
 }
 
 bool SegmentStore::contains(SegmentKey key) const {
@@ -98,10 +87,8 @@ std::optional<PeerId> SegmentStore::store(SegmentKey key, DataSize bytes) {
   const auto peer = best_peer(bytes, exclude);
   if (!peer) return std::nullopt;
 
-  const auto p = peer->value();
-  used_by_peer_[p] += bytes;
+  add_free(peer->value(), -bytes.bit_count());
   used_ += bytes;
-  push_heap_entry(p);
 
   if (entry == nullptr) {
     SegmentEntry fresh;
@@ -159,11 +146,9 @@ DataSize SegmentStore::evict_program(ProgramId program) {
     const PeerId* peers = replica_peers_.data(entry->off);
     const std::int64_t* bytes = replica_bytes_.data(entry->off);
     for (std::uint16_t r = 0; r < entry->count; ++r) {
-      const auto p = peers[r].value();
+      add_free(peers[r].value(), bytes[r]);
       const DataSize replica = DataSize::bits(bytes[r]);
-      used_by_peer_[p] -= replica;
       used_ -= replica;
-      push_heap_entry(p);
       freed += replica;
     }
     replica_peers_.release(entry->off, entry->cap_log2);
@@ -177,7 +162,7 @@ DataSize SegmentStore::evict_program(ProgramId program) {
 }
 
 SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < used_by_peer_.size());
+  VODCACHE_EXPECTS(peer.value() < contribution_.size());
   WipeResult result;
   // Flat-table slot order depends on insert/erase history; visiting
   // programs in ascending id order keeps the wipe — and the emptied-program
@@ -225,10 +210,10 @@ SegmentStore::WipeResult SegmentStore::wipe_peer(PeerId peer) {
     }
   }
 
-  used_by_peer_[peer.value()] -= result.freed;
+  add_free(peer.value(), result.freed.bit_count());
   used_ -= result.freed;
-  push_heap_entry(peer.value());
-  VODCACHE_ENSURES(used_by_peer_[peer.value()] >= DataSize{});
+  VODCACHE_ENSURES(free_bits_[peer.value()] <=
+                   contribution_[peer.value()].bit_count());
   return result;
 }
 
@@ -261,19 +246,15 @@ bool SegmentStore::has_commitment(ProgramId program) const {
   return commitment_bits_.contains(program.value());
 }
 
-bool SegmentStore::can_place(SegmentKey key, DataSize bytes) {
-  VODCACHE_EXPECTS(bytes > DataSize{});
-  return best_peer(bytes, locate(key)).has_value();
-}
-
 std::size_t SegmentStore::replica_count(SegmentKey key) const {
   const SegmentEntry* entry = segments_.find(pack(key));
   return entry == nullptr ? 0 : entry->count;
 }
 
 DataSize SegmentStore::peer_used(PeerId peer) const {
-  VODCACHE_EXPECTS(peer.value() < used_by_peer_.size());
-  return used_by_peer_[peer.value()];
+  VODCACHE_EXPECTS(peer.value() < contribution_.size());
+  return contribution_[peer.value()] -
+         DataSize::bits(free_bits_[peer.value()]);
 }
 
 DataSize SegmentStore::peer_contribution(PeerId peer) const {

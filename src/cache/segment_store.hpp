@@ -20,12 +20,13 @@
 //   commitment_bits_ : program -> committed whole-program footprint.
 //
 // Evict and failure-wipe release blocks back onto the arenas' freelists, so
-// steady-state churn stores and evicts without heap traffic.  The placement
-// heap is a lazy max-heap over (free space, peer) kept in a bounded vector:
-// every entry is revalidated against live accounting before use, so which
-// entries happen to coexist — and when the heap compacts back to one fresh
-// entry per peer — cannot change any placement decision (the comparator is
-// a total order; top() depends only on the multiset of valid entries).
+// steady-state churn stores and evicts without heap traffic.  Placement is
+// a flat binary max-tree over (free bits, peer): each internal node holds
+// the winning peer of its subtree, so the most-free peer is the root and a
+// store, evict or wipe re-plays only the changed leaf's path.  Ties in free
+// space go to the larger peer id.  A search that must skip the segment's
+// existing replica holders descends only into subtrees whose winner is
+// excluded — O(replicas x log peers), with no mutation.
 #pragma once
 
 #include <cstdint>
@@ -70,17 +71,14 @@ class SegmentStore {
   [[nodiscard]] bool has_program(ProgramId program) const;
 
   // Stores a replica on the peer with most free space that does not already
-  // hold one.  Returns the chosen peer, or nullopt if no eligible peer can
-  // hold `bytes` (caller is expected to evict first).  Replicas of hot
+  // hold one.  Returns the chosen peer, or nullopt — with the store
+  // unchanged — if no eligible peer can hold `bytes` (the caller evicts and
+  // retries).  Placement is per-peer: aggregate free space can exceed
+  // `bytes` while no single peer fits it (fragmentation).  Replicas of hot
   // segments arise when every existing copy's peer is stream-saturated: the
   // index server tells one more peer to read the (anyway happening) miss
   // broadcast off the wire.
   std::optional<PeerId> store(SegmentKey key, DataSize bytes);
-
-  // True iff store(key, bytes) would find a peer right now.  Placement is
-  // per-peer: aggregate free space can exceed `bytes` while no single peer
-  // fits it (fragmentation), in which case eviction is still required.
-  [[nodiscard]] bool can_place(SegmentKey key, DataSize bytes);
 
   // Whole-program admission accounting (paper section IV-B.1: the index
   // server admits and deletes *programs*; segments then materialize from
@@ -114,7 +112,7 @@ class SegmentStore {
   [[nodiscard]] DataSize free_space() const { return capacity_ - used_; }
   [[nodiscard]] DataSize peer_used(PeerId peer) const;
   [[nodiscard]] DataSize peer_contribution(PeerId peer) const;
-  [[nodiscard]] std::size_t peer_count() const { return used_by_peer_.size(); }
+  [[nodiscard]] std::size_t peer_count() const { return contribution_.size(); }
 
   // Distinct segment keys stored (replicas count once).
   [[nodiscard]] std::size_t stored_segment_count() const {
@@ -150,9 +148,15 @@ class SegmentStore {
   }
 
   [[nodiscard]] std::optional<PeerId> best_peer(
-      DataSize bytes, std::span<const PeerId> exclude);
-  void push_heap_entry(std::uint32_t peer);
-  void compact_heap();
+      DataSize bytes, std::span<const PeerId> exclude) const;
+  // The better of two tree entries: more free space, then the larger id;
+  // kNoPeer (padding) loses to every peer.
+  [[nodiscard]] std::uint32_t better(std::uint32_t a, std::uint32_t b) const;
+  // Winner of node `node`'s subtree among peers not in `exclude`.
+  [[nodiscard]] std::uint32_t best_excluding(
+      std::size_t node, std::span<const PeerId> exclude) const;
+  // Adjusts `peer`'s free space by `delta` bits and re-plays its path.
+  void add_free(std::uint32_t peer, std::int64_t delta);
   // Drops replica `r` of the segment at `packed`, adjusting global (but not
   // per-peer) accounting; erases the segment when it was the last replica.
   // Returns the replica's bytes.
@@ -160,7 +164,7 @@ class SegmentStore {
                         std::uint16_t r);
 
   std::vector<DataSize> contribution_;
-  std::vector<DataSize> used_by_peer_;
+  std::vector<std::int64_t> free_bits_;
   DataSize capacity_;
   DataSize used_;
 
@@ -173,16 +177,12 @@ class SegmentStore {
   util::PooledArena<std::int64_t> replica_bytes_;
   util::PooledArena<std::uint32_t> segment_lists_;
 
-  // Lazy max-heap of (free bits, peer): entries are revalidated on pop.
-  // Free space only changes via store/evict/wipe, all of which push a
-  // fresh entry, so the true maximum is always present.  When the vector
-  // fills its bound it compacts to exactly one fresh entry per peer —
-  // the multiset of *valid* entries (what every read depends on) is
-  // unchanged, so compaction is invisible to placement.
-  using HeapEntry = std::pair<std::int64_t, std::uint32_t>;
-  std::vector<HeapEntry> free_heap_;
-  std::size_t heap_bound_;
-  std::vector<HeapEntry> parked_;               // best_peer scratch
+  // Placement max-tree: node k's children are 2k and 2k+1, leaves start
+  // at tree_leaves_ (a power of two) and leaf tree_leaves_ + p is peer p;
+  // padding leaves hold kNoPeer.  Node 0 is unused.
+  static constexpr std::uint32_t kNoPeer = 0xffffffffu;
+  std::size_t tree_leaves_ = 1;
+  std::vector<std::uint32_t> tree_;
   std::vector<std::uint32_t> wipe_programs_;    // wipe_peer scratch
 };
 

@@ -16,9 +16,11 @@ namespace vodcache::cache {
 
 ShadowBank::ShadowBank(std::vector<PairSpec> pairs, const Settings& settings,
                        std::uint32_t peer_count,
-                       const sim::RateMeter* primary_coax)
-    : settings_(settings), primary_coax_(primary_coax) {
+                       const sim::RateMeter* primary_coax,
+                       const hfc::ViewerOccupancy* viewers)
+    : settings_(settings), primary_coax_(primary_coax), viewers_(viewers) {
   VODCACHE_EXPECTS(primary_coax != nullptr);
+  VODCACHE_EXPECTS(viewers != nullptr && viewers->peer_count() == peer_count);
   VODCACHE_EXPECTS(peer_count > 0);
   VODCACHE_EXPECTS(!pairs.empty() && pairs.size() <= kMaxPairs);
   shadows_.reserve(pairs.size());
@@ -26,18 +28,13 @@ ShadowBank::ShadowBank(std::vector<PairSpec> pairs, const Settings& settings,
                                             settings.per_peer_storage);
   for (auto& pair : pairs) {
     VODCACHE_EXPECTS(pair.scorer != nullptr);
-    Shadow shadow{pair.scorer_display,
-                  pair.admission_display,
-                  std::move(pair.scorer),
-                  std::move(pair.admission),
-                  SegmentStore(contributions),
-                  {},
-                  {}};
-    shadow.slots.reserve(peer_count);
-    for (std::uint32_t i = 0; i < peer_count; ++i) {
-      shadow.slots.emplace_back(settings.peer_stream_limit);
-    }
-    shadows_.push_back(std::move(shadow));
+    shadows_.push_back({pair.scorer_display,
+                        pair.admission_display,
+                        std::move(pair.scorer),
+                        std::move(pair.admission),
+                        SegmentStore(contributions),
+                        hfc::StreamSlots(peer_count, settings.peer_stream_limit),
+                        {}});
   }
 }
 
@@ -97,15 +94,9 @@ std::uint64_t ShadowBank::start_session(ProgramId program,
   return mask;
 }
 
-void ShadowBank::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
-  for (auto& shadow : shadows_) {
-    shadow.slots[viewer.value()].acquire_unchecked(interval);
-  }
-}
-
 bool ShadowBank::make_room(Shadow& shadow, SegmentKey key, DataSize bytes,
                            sim::SimTime t) {
-  while (!shadow.store.can_place(key, bytes)) {
+  while (!shadow.store.store(key, bytes)) {
     const auto victim = shadow.scorer->victim(t);
     if (!victim) return false;
     if (*victim == key.program) return false;
@@ -126,8 +117,6 @@ void ShadowBank::try_fill(Shadow& shadow, SegmentKey key, DataSize bytes,
     return;
   }
   if (!make_room(shadow, key, bytes, t)) return;
-  const auto peer = shadow.store.store(key, bytes);
-  VODCACHE_ASSERT(peer.has_value());
   if (shadow.store.has_program(key.program) &&
       !shadow.scorer->is_cached(key.program)) {
     shadow.scorer->on_admit(key.program, t);
@@ -135,10 +124,8 @@ void ShadowBank::try_fill(Shadow& shadow, SegmentKey key, DataSize bytes,
   ++shadow.counters.fills;
 }
 
-void ShadowBank::serve_segment(PeerId viewer, SegmentKey key,
-                               sim::Interval interval,
+void ShadowBank::serve_segment(SegmentKey key, sim::Interval interval,
                                std::uint64_t admit_mask, bool full_slice) {
-  (void)viewer;  // the viewer's occupancy already arrived via occupy_viewer_slot
   const double bits =
       settings_.stream_rate.bps() * interval.duration_seconds();
   for (std::size_t p = 0; p < shadows_.size(); ++p) {
@@ -148,7 +135,7 @@ void ShadowBank::serve_segment(PeerId viewer, SegmentKey key,
     const auto replicas = shadow.store.locate(key);
     bool hit = false;
     for (const PeerId replica : replicas) {
-      if (shadow.slots[replica.value()].try_acquire(interval)) {
+      if (shadow.slots.try_acquire(replica, interval, *viewers_)) {
         ++shadow.counters.hits;
         shadow.counters.hit_bits += bits;
         if (shadow.admission != nullptr) {

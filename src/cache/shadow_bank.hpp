@@ -3,32 +3,39 @@
 // pair, maintained against the same session stream the primary policy is
 // replaying, in the same single pass.
 //
-// A shadow is bookkeeping only.  It owns a full SegmentStore and per-peer
-// stream-slot occupancy (busy misses depend on replica placement and slot
-// contention, so membership alone cannot reproduce a standalone run's
-// counters), but it moves no bytes, feeds no rate meter, walks no tier
-// tree, and never touches the primary's state — which is the whole
-// determinism argument: with shadows on, the primary's event sequence is
-// instruction-for-instruction the no-shadow sequence, so its report stays
-// byte-identical (pinned in tests/shadow_bank_test.cpp).
+// A shadow cell owns exactly what its policy decides: a full SegmentStore
+// (placement differs per policy), its own serve transmissions (busy misses
+// depend on which boxes hold replicas, so membership alone cannot
+// reproduce a standalone run's counters), its scorer's cached-set ranking,
+// its admission policy, and its counters.  Everything else is read from
+// state the shard keeps once for all sides, because it is the same under
+// every policy:
 //
-// The one read a shadow performs outside itself is the primary's coax
-// meter, for the headroom-gated admissions.  That is sound because coax
-// metering is policy-independent: every segment transmission is metered
-// exactly once whatever policy runs (paper section VI-B — the broadcast
-// consumes the wire whether a peer or the server sends it), so the rate a
-// shadow's gate reads at time t equals what a standalone run of that pair
-// would have read.  The cross-check mode asserts exactly this equivalence:
-// one shadow-matrix pass reproduces the counters of every standalone
-// (scorer x admission) run.
+//  * the access ledger (cache/access_ledger.hpp) — recency, counts, and the
+//    global replay cursor, written once per session start;
+//  * viewer playback occupancy (hfc::ViewerOccupancy, the primary's) —
+//    playback is never refused, so it is policy-independent;
+//  * the primary's coax meter, for the headroom-gated admissions.  Coax
+//    metering is policy-independent: every segment transmission is metered
+//    exactly once whatever policy runs (paper section VI-B — the broadcast
+//    consumes the wire whether a peer or the server sends it).
 //
-// Call protocol mirrors core::IndexServer call for call —
-// start_session -> occupy_viewer_slot -> serve_segment per boundary, and
-// fail_peer per failure draw — invoked by the shard immediately after the
-// primary's counterpart, so each shadow sees the standalone event order.
+// Sharing is exact because each shared structure is a pure function of the
+// session stream, which every side sees identically, and because each cell
+// reads it at the same points of that stream a standalone run would.  A
+// cell moves no bytes, feeds no rate meter, walks no tier tree, and never
+// writes the primary's state — so with shadows on, the primary's event
+// sequence is instruction-for-instruction the no-shadow sequence, and its
+// report stays byte-identical (pinned in tests/shadow_bank_test.cpp, which
+// also pins every cell's counters equal to a standalone run of its pair).
 //
-// Zero steady-state allocations: stores are FlatMap64/PooledArena (PR 7),
-// stream slots are high-water vectors, admission histories are flat tables
+// Call protocol mirrors core::IndexServer call for call — start_session ->
+// serve_segment per boundary, and fail_peer per failure draw — invoked by
+// the shard immediately after the primary's counterpart, so each shadow
+// sees the standalone event order.
+//
+// Zero steady-state allocations: stores are FlatMap64/PooledArena, serve
+// slots are one flat array per cell, admission histories are flat tables
 // or fixed sketch arrays (enforced by tests/allocation_audit_test.cpp with
 // shadows on).
 #pragma once
@@ -92,9 +99,11 @@ class ShadowBank {
   static constexpr std::size_t kMaxPairs = 64;
 
   // `primary_coax` (the owning neighborhood's coax meter, fed by the
-  // primary) must outlive the bank.
+  // primary) and `viewers` (its viewer playback record) must outlive the
+  // bank.
   ShadowBank(std::vector<PairSpec> pairs, const Settings& settings,
-             std::uint32_t peer_count, const sim::RateMeter* primary_coax);
+             std::uint32_t peer_count, const sim::RateMeter* primary_coax,
+             const hfc::ViewerOccupancy* viewers);
 
   ShadowBank(const ShadowBank&) = delete;
   ShadowBank& operator=(const ShadowBank&) = delete;
@@ -116,13 +125,9 @@ class ShadowBank {
                                             DataSize program_size,
                                             sim::SimTime t);
 
-  // Mirrors IndexServer::occupy_viewer_slot (playback occupancy counts
-  // against the serve limit in every shadow, as it does in the primary).
-  void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
-
   // Mirrors IndexServer::serve_segment; bit p of `admit_mask` is pair p's
   // decision from start_session.
-  void serve_segment(PeerId viewer, SegmentKey key, sim::Interval interval,
+  void serve_segment(SegmentKey key, sim::Interval interval,
                      std::uint64_t admit_mask, bool full_slice);
 
   // Mirrors IndexServer::fail_peer.
@@ -130,9 +135,9 @@ class ShadowBank {
 
   // Live policy switching (cache::PolicySwitcher): mutable references into
   // one cell's private state, so the shard can exchange it wholesale with
-  // the primary's — the cell's store/slots/policy state is promoted to be
-  // the primary's warm cached set, and the demoted primary state drops into
-  // the cell.  Counters are deliberately absent: both ledgers keep
+  // the primary's — the cell's store/serve slots/policy state is promoted
+  // to be the primary's warm cached set, and the demoted primary state
+  // drops into the cell.  Counters are deliberately absent: both ledgers keep
   // accumulating in place across a switch (the primary's report stays one
   // continuous history; conservation — segments == hits + misses — holds
   // on both sides because each serve still bumps exactly one bucket).
@@ -142,7 +147,7 @@ class ShadowBank {
     std::unique_ptr<EvictionScorer>& scorer;
     std::unique_ptr<AdmissionPolicy>& admission;
     SegmentStore& store;
-    std::vector<hfc::StreamSlots>& slots;
+    hfc::StreamSlots& slots;
   };
   [[nodiscard]] CellState cell_state(std::size_t pair);
 
@@ -153,19 +158,21 @@ class ShadowBank {
     std::unique_ptr<EvictionScorer> scorer;
     std::unique_ptr<AdmissionPolicy> admission;
     SegmentStore store;
-    std::vector<hfc::StreamSlots> slots;
+    hfc::StreamSlots slots;
     ShadowCounters counters;
   };
 
   [[nodiscard]] bool allows(Shadow& shadow, ProgramId program, sim::SimTime t);
   [[nodiscard]] bool start_one(Shadow& shadow, ProgramId program,
                                DataSize program_size, sim::SimTime t);
+  // Stores `bytes` for `key`, evicting as IndexServer::make_room does.
   [[nodiscard]] bool make_room(Shadow& shadow, SegmentKey key, DataSize bytes,
                                sim::SimTime t);
   void try_fill(Shadow& shadow, SegmentKey key, DataSize bytes, sim::SimTime t);
 
   Settings settings_;
   const sim::RateMeter* primary_coax_;
+  const hfc::ViewerOccupancy* viewers_;
   std::vector<Shadow> shadows_;
 };
 

@@ -13,6 +13,11 @@
 // Scores are ordered pairs: bigger means more valuable.  LFU's "ties are
 // resolved using an LRU strategy" falls out of the pair comparison
 // (primary = frequency, secondary = recency sequence number).
+//
+// A scorer's access-derived state — recency, counts, the global board —
+// lives in the neighborhood's AccessLedger (cache/access_ledger.hpp),
+// shared with every other scorer of the shard.  The ledger must have
+// recorded a session start before any scorer's record_access for it.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 #include <string_view>
 #include <utility>
 
+#include "cache/access_ledger.hpp"
 #include "cache/victim_index.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
@@ -56,9 +62,14 @@ class EvictionScorer {
 };
 
 // Common machinery shared by every concrete scorer: the cached-set score
-// index plus a monotone access sequence for recency tie-breaking.
+// index, a dense membership/staleness table, and the neighborhood ledger.
+//
+// Programs the ledger (or the scorer itself) marks stale are re-ranked at
+// the next victim() call, before the cached set is asked for its minimum.
 class ScoredStrategy : public EvictionScorer {
  public:
+  ~ScoredStrategy() override;
+
   [[nodiscard]] std::optional<ProgramId> victim(sim::SimTime t) override;
   void on_admit(ProgramId program, sim::SimTime t) override;
   void on_evict(ProgramId program) override;
@@ -66,18 +77,24 @@ class ScoredStrategy : public EvictionScorer {
   [[nodiscard]] std::size_t cached_count() const override;
 
  protected:
-  [[nodiscard]] std::int64_t next_sequence() { return ++sequence_; }
-  [[nodiscard]] std::int64_t current_sequence() const { return sequence_; }
+  // `ledger` must outlive the scorer.  Every scorer ranks by recency.
+  explicit ScoredStrategy(AccessLedger& ledger);
+
+  [[nodiscard]] AccessLedger& ledger() { return *ledger_; }
+  [[nodiscard]] const AccessLedger& ledger() const { return *ledger_; }
   [[nodiscard]] CachedSet& cached() { return cached_; }
   [[nodiscard]] const CachedSet& cached() const { return cached_; }
+  // The fan-out target for ledger changes (see AccessLedger::attach_*).
+  [[nodiscard]] StaleSet& stale() { return stale_; }
 
-  // Hook for scorers that refresh lazily (oracle, lagged global LFU)
-  // before the cached-set ordering is consulted.
+  // Hook for scorers that refresh before the cached-set ordering is
+  // consulted (oracle horizon drift, global board advance).
   virtual void refresh(sim::SimTime /*t*/) {}
 
  private:
+  AccessLedger* ledger_;
   CachedSet cached_;
-  std::int64_t sequence_ = 0;
+  StaleSet stale_;
 };
 
 }  // namespace vodcache::cache

@@ -31,16 +31,13 @@ IndexServer::IndexServer(NeighborhoodId id, std::uint32_t peer_count,
       admission_(std::move(admission)),
       media_server_(media_server),
       store_(contributions(peer_count, config.per_peer_storage)),
+      viewers_(peer_count),
+      slots_(peer_count, config.peer_stream_limit),
       coax_meter_(horizon, config.meter_bucket),
       peer_meter_(horizon, config.meter_bucket),
       tiers_(tiers),
       tier_nodes_(std::move(tier_nodes)) {
   VODCACHE_EXPECTS(peer_count > 0);
-  peers_.reserve(peer_count);
-  for (std::uint32_t i = 0; i < peer_count; ++i) {
-    peers_.emplace_back(PeerId{i}, config.per_peer_storage,
-                        config.peer_stream_limit);
-  }
   if (tiers_ != nullptr) {
     VODCACHE_EXPECTS(tier_nodes_.size() == tiers_->level_count());
     counters_.tier_hits.assign(tiers_->level_count(), 0);
@@ -101,12 +98,11 @@ bool IndexServer::start_session(ProgramId program, DataSize program_size,
 }
 
 void IndexServer::occupy_viewer_slot(PeerId viewer, sim::Interval interval) {
-  VODCACHE_EXPECTS(viewer.value() < peers_.size());
-  peers_[viewer.value()].slots().acquire_unchecked(interval);
+  viewers_.occupy(viewer, interval);
 }
 
 void IndexServer::fail_peer(PeerId peer) {
-  VODCACHE_EXPECTS(peer.value() < peers_.size());
+  VODCACHE_EXPECTS(peer.value() < peer_count());
   const auto wiped = store_.wipe_peer(peer);
   ++counters_.peer_failures;
   counters_.wiped_bytes += wiped.freed.byte_count();
@@ -120,7 +116,7 @@ void IndexServer::fail_peer(PeerId peer) {
 
 bool IndexServer::make_room(cache::SegmentKey key, DataSize bytes,
                             sim::SimTime t) {
-  while (!store_.can_place(key, bytes)) {
+  while (!store_.store(key, bytes)) {
     const auto victim = scorer_->victim(t);
     if (!victim) return false;  // nothing cached, yet no room: bytes > capacity
     if (*victim == key.program) return false;  // would evict ourselves
@@ -144,8 +140,6 @@ void IndexServer::try_fill(cache::SegmentKey key, DataSize bytes,
     return;
   }
   if (!make_room(key, bytes, t)) return;
-  const auto peer = store_.store(key, bytes);
-  VODCACHE_ASSERT(peer.has_value());  // make_room guaranteed placement
   if (store_.has_program(key.program) &&
       !scorer_->is_cached(key.program)) {
     scorer_->on_admit(key.program, t);
@@ -156,7 +150,7 @@ void IndexServer::try_fill(cache::SegmentKey key, DataSize bytes,
 ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
                                        sim::Interval interval, bool admit,
                                        bool full_slice) {
-  VODCACHE_EXPECTS(viewer.value() < peers_.size());
+  VODCACHE_EXPECTS(viewer.value() < peer_count());
   VODCACHE_EXPECTS(interval.valid());
   ++counters_.segments;
 
@@ -172,8 +166,7 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
   // mutate the store.
   const auto replicas = store_.locate(key);
   for (const PeerId replica : replicas) {
-    auto& slots = peers_[replica.value()].slots();
-    if (slots.try_acquire(interval)) {
+    if (slots_.try_acquire(replica, interval, viewers_)) {
       ++counters_.hits;
       counters_.hit_bits += bits;
       peer_meter_.add(interval, rate);
@@ -221,17 +214,15 @@ ServeResult IndexServer::serve_segment(PeerId viewer, cache::SegmentKey key,
 void IndexServer::swap_policy_state(
     std::unique_ptr<cache::EvictionScorer>& scorer,
     std::unique_ptr<cache::AdmissionPolicy>& admission,
-    cache::SegmentStore& store, std::vector<hfc::StreamSlots>& slots) {
+    cache::SegmentStore& store, hfc::StreamSlots& slots) {
   // A null incoming scorer would demote the server to StrategyKind::None
   // mid-run; config validation forbids switching in that world.
   VODCACHE_EXPECTS(scorer != nullptr && scorer_ != nullptr);
-  VODCACHE_EXPECTS(slots.size() == peers_.size());
+  VODCACHE_EXPECTS(slots.peer_count() == peer_count());
   std::swap(scorer_, scorer);
   std::swap(admission_, admission);
   std::swap(store_, store);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    std::swap(peers_[i].slots(), slots[i]);
-  }
+  std::swap(slots_, slots);
 }
 
 }  // namespace vodcache::core

@@ -80,7 +80,8 @@ class IndexServer {
                             bool full_slice);
 
   // Viewer playback always occupies a receive slot on the viewer's box for
-  // the whole session (counts against its limit when asked to serve).
+  // the whole session (counts against its limit when asked to serve).  The
+  // record is policy-independent: shadow cells read it through viewers().
   void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
 
   // Failure injection: the peer's disk contents are lost (box swap/crash).
@@ -91,20 +92,22 @@ class IndexServer {
 
   // Warm policy switch (cache::PolicySwitcher): exchange this server's
   // cached set and policy state with a shadow cell's — the cell's
-  // SegmentStore, per-peer stream slots, scorer, and admission policy
-  // become the primary's (no cold restart), and the old primary state
-  // moves out through the same references (demotion into the cell).
-  // `slots` must hold exactly peer_count() entries.  Counters and meters
-  // stay put: the report remains one continuous per-neighborhood history,
+  // SegmentStore, serve slots, scorer, and admission policy become the
+  // primary's (no cold restart), and the old primary state moves out
+  // through the same references (demotion into the cell).  Viewer
+  // playback is policy-independent and stays put, as do counters and
+  // meters: the report remains one continuous per-neighborhood history,
   // and metering is policy-independent anyway.
   void swap_policy_state(std::unique_ptr<cache::EvictionScorer>& scorer,
                          std::unique_ptr<cache::AdmissionPolicy>& admission,
-                         cache::SegmentStore& store,
-                         std::vector<hfc::StreamSlots>& slots);
+                         cache::SegmentStore& store, hfc::StreamSlots& slots);
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
   [[nodiscard]] std::uint32_t peer_count() const {
-    return static_cast<std::uint32_t>(peers_.size());
+    return viewers_.peer_count();
+  }
+  [[nodiscard]] const hfc::ViewerOccupancy& viewers() const {
+    return viewers_;
   }
   [[nodiscard]] const cache::SegmentStore& store() const { return store_; }
   [[nodiscard]] const cache::EvictionScorer& scorer() const {
@@ -147,10 +150,10 @@ class IndexServer {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  // Evict strictly-lower-scored programs until the store can physically
-  // place `bytes` for `key` (per-peer placement: aggregate free space is
-  // not enough).  Returns false if the incoming program stops outranking
-  // the next victim first.
+  // Stores `bytes` for `key`, evicting strictly-lower-scored programs until
+  // the store can physically place it (per-peer placement: aggregate free
+  // space is not enough).  Returns false, storing nothing, if the incoming
+  // program stops outranking the next victim first.
   bool make_room(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
   void try_fill(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
   // The admission policy's verdict for a program missed at `t` (counts a
@@ -163,7 +166,8 @@ class IndexServer {
   std::unique_ptr<cache::AdmissionPolicy> admission_;
   MediaServer& media_server_;
   cache::SegmentStore store_;
-  std::vector<hfc::SetTopBox> peers_;
+  hfc::ViewerOccupancy viewers_;
+  hfc::StreamSlots slots_;
   sim::RateMeter coax_meter_;
   sim::RateMeter peer_meter_;
   const TierSystem* tiers_;

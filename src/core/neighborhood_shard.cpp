@@ -18,6 +18,8 @@ NeighborhoodShard::NeighborhoodShard(
       config_(config),
       future_(future),
       board_(std::move(board)),
+      ledger_(catalog.size(), config.strategy.lfu_history, board_,
+              board_ != nullptr ? &clock_ : nullptr),
       media_(horizon, config.meter_bucket),
       server_(id, peer_count, config, make_scorer(), make_admission(), media_,
               horizon, tiers, std::move(tier_nodes)),
@@ -37,8 +39,7 @@ NeighborhoodShard::NeighborhoodShard(
 }
 
 std::unique_ptr<cache::EvictionScorer> NeighborhoodShard::make_scorer() {
-  const ScorerContext context{config_.strategy, catalog_, future_, board_,
-                              &clock_};
+  const ScorerContext context{config_.strategy, catalog_, future_, &ledger_};
   return scorer_entry(config_.strategy.kind).make(context);
 }
 
@@ -50,12 +51,12 @@ std::unique_ptr<cache::AdmissionPolicy> NeighborhoodShard::make_admission() {
 
 std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
     std::uint32_t peer_count) {
-  // Every pair shares this shard's scorer context: GlobalLFU shadows read
-  // the same replay board through the same clock, Oracle shadows the same
-  // future index — the orchestrator's prepass gating covers them because
-  // PrepassNeeds treats shadow_matrix like running those strategies.
-  const ScorerContext context{config_.strategy, catalog_, future_, board_,
-                              &clock_};
+  // Every pair shares this shard's scorer context: all read the shard's
+  // access ledger (GlobalLFU shadows its replay cursor), Oracle shadows the
+  // same future index — the orchestrator's prepass gating covers them
+  // because PrepassNeeds treats shadow_matrix like running those
+  // strategies.
+  const ScorerContext context{config_.strategy, catalog_, future_, &ledger_};
   std::vector<cache::ShadowBank::PairSpec> pairs;
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
@@ -74,9 +75,9 @@ std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
   settings.peer_stream_limit = config_.peer_stream_limit;
   settings.stream_rate = config_.stream_rate;
   settings.per_peer_storage = config_.per_peer_storage;
-  return std::make_unique<cache::ShadowBank>(std::move(pairs), settings,
-                                             peer_count,
-                                             &server_.coax_meter());
+  return std::make_unique<cache::ShadowBank>(
+      std::move(pairs), settings, peer_count, &server_.coax_meter(),
+      &server_.viewers());
 }
 
 void NeighborhoodShard::apply_failures(sim::SimTime now) {
@@ -203,6 +204,7 @@ void NeighborhoodShard::start_session(const StreamSession& stream_session,
   const auto& record = stream_session.record;
   const DataSize program_size =
       catalog_.program_size(record.program, config_.stream_rate);
+  ledger_.record_access(record.program, record.start);
   const bool admit =
       server_.start_session(record.program, program_size, record.start);
   slot_admit_[slot] = admit ? 1 : 0;
@@ -214,9 +216,6 @@ void NeighborhoodShard::start_session(const StreamSession& stream_session,
   const sim::Interval playback{record.start,
                                sim::SimTime::millis(slot_end_ms_[slot])};
   server_.occupy_viewer_slot(stream_session.viewer, playback);
-  if (shadow_ != nullptr) {
-    shadow_->occupy_viewer_slot(stream_session.viewer, playback);
-  }
 
   play_segment(slot, record.start);
 }
@@ -247,8 +246,7 @@ void NeighborhoodShard::play_segment(std::uint32_t slot, sim::SimTime at) {
                         cache::SegmentKey{program, segment_index},
                         {at, tx_end}, slot_admit_[slot] != 0, full_slice);
   if (shadow_ != nullptr) {
-    shadow_->serve_segment(PeerId{slot_viewer_[slot]},
-                           cache::SegmentKey{program, segment_index},
+    shadow_->serve_segment(cache::SegmentKey{program, segment_index},
                            {at, tx_end}, slot_shadow_admit_[slot], full_slice);
   }
 

@@ -49,6 +49,7 @@
 #include <span>
 #include <vector>
 
+#include "cache/access_ledger.hpp"
 #include "cache/future_index.hpp"
 #include "cache/policy_switcher.hpp"
 #include "cache/popularity_board.hpp"
@@ -186,10 +187,14 @@ class NeighborhoodShard {
   const trace::Catalog& catalog_;
   const SystemConfig& config_;
 
-  // Strategy backing state; must precede server_ (make_strategy reads it).
+  // Strategy backing state; must precede server_ (make_scorer reads it).
   const cache::FutureIndex* future_;                   // Oracle
   std::shared_ptr<const cache::ReplayBoard> board_;    // GlobalLFU
   sim::ReplayClock clock_;
+  // The access history every scorer of this shard reads — the primary's
+  // and every shadow cell's — written once per session start.  Must
+  // outlive them all.
+  cache::AccessLedger ledger_;
 
   MediaServer media_;
   IndexServer server_;

@@ -16,30 +16,35 @@ std::unique_ptr<cache::EvictionScorer> make_none(const ScorerContext&) {
   return nullptr;
 }
 
-std::unique_ptr<cache::EvictionScorer> make_lru(const ScorerContext&) {
-  return std::make_unique<cache::LruStrategy>();
+std::unique_ptr<cache::EvictionScorer> make_lru(const ScorerContext& ctx) {
+  VODCACHE_EXPECTS(ctx.ledger != nullptr);
+  return std::make_unique<cache::LruStrategy>(*ctx.ledger);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_lfu(const ScorerContext& ctx) {
-  return std::make_unique<cache::LfuStrategy>(ctx.strategy.lfu_history);
+  // The window length is the ledger's, built from the same StrategyConfig.
+  VODCACHE_EXPECTS(ctx.ledger != nullptr);
+  VODCACHE_EXPECTS(ctx.ledger->lfu_history() == ctx.strategy.lfu_history);
+  return std::make_unique<cache::LfuStrategy>(*ctx.ledger);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_oracle(const ScorerContext& ctx) {
-  VODCACHE_EXPECTS(ctx.future != nullptr);
-  return std::make_unique<cache::OracleStrategy>(*ctx.future,
-                                                 ctx.strategy.oracle_lookahead,
-                                                 ctx.strategy.oracle_refresh);
+  VODCACHE_EXPECTS(ctx.future != nullptr && ctx.ledger != nullptr);
+  return std::make_unique<cache::OracleStrategy>(
+      *ctx.future, *ctx.ledger, ctx.strategy.oracle_lookahead,
+      ctx.strategy.oracle_refresh);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_global_lfu(
     const ScorerContext& ctx) {
-  VODCACHE_EXPECTS(ctx.board != nullptr && ctx.clock != nullptr);
-  return std::make_unique<cache::GlobalLfuStrategy>(ctx.board, ctx.clock);
+  VODCACHE_EXPECTS(ctx.ledger != nullptr);
+  return std::make_unique<cache::GlobalLfuStrategy>(*ctx.ledger);
 }
 
 std::unique_ptr<cache::EvictionScorer> make_greedy_dual(
     const ScorerContext& ctx) {
-  return std::make_unique<cache::GreedyDualScorer>(ctx.catalog);
+  VODCACHE_EXPECTS(ctx.ledger != nullptr);
+  return std::make_unique<cache::GreedyDualScorer>(ctx.catalog, *ctx.ledger);
 }
 
 constexpr ScorerEntry kScorers[] = {

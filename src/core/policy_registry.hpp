@@ -15,25 +15,24 @@
 #include <string>
 #include <string_view>
 
+#include "cache/access_ledger.hpp"
 #include "cache/admission.hpp"
 #include "cache/future_index.hpp"
-#include "cache/popularity_board.hpp"
 #include "cache/strategy.hpp"
 #include "core/config.hpp"
-#include "sim/replay_clock.hpp"
 #include "trace/catalog.hpp"
 
 namespace vodcache::core {
 
-// Everything a scorer factory may need.  Per-shard: the oracle's future
-// index, GlobalLFU's replay board, and the shard's clock are shard-local
-// state owned by the caller and must outlive the scorer.
+// Everything a scorer factory may need, owned by the caller and outliving
+// the scorer: the oracle's future index (shared by every shard) and the
+// shard's access ledger, which every scorer of the shard reads — GlobalLFU
+// through the replay board and clock the ledger carries.
 struct ScorerContext {
   const StrategyConfig& strategy;
   const trace::Catalog& catalog;
-  const cache::FutureIndex* future = nullptr;              // Oracle
-  std::shared_ptr<const cache::ReplayBoard> board;         // GlobalLFU
-  const sim::ReplayClock* clock = nullptr;                 // GlobalLFU
+  const cache::FutureIndex* future = nullptr;  // Oracle
+  cache::AccessLedger* ledger = nullptr;
 };
 
 struct ScorerEntry {

@@ -1,44 +1,88 @@
 #include "hfc/settop.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace vodcache::hfc {
 
-StreamSlots::StreamSlots(int limit) : limit_(limit) {
+namespace {
+
+// Before every event: a slot holding it is free.
+constexpr sim::SimTime kFree =
+    sim::SimTime::millis(std::numeric_limits<std::int64_t>::min());
+
+}  // namespace
+
+ViewerOccupancy::ViewerOccupancy(std::uint32_t peer_count)
+    : count_(peer_count, 0),
+      ends_(static_cast<std::size_t>(peer_count) * stride_) {
+  VODCACHE_EXPECTS(peer_count > 0);
+}
+
+void ViewerOccupancy::occupy(PeerId viewer, sim::Interval playback) {
+  VODCACHE_EXPECTS(viewer.value() < count_.size());
+  VODCACHE_EXPECTS(playback.valid());
+  const std::size_t p = viewer.value();
+  // Drop the playbacks over by now, keeping the rest in order.
+  sim::SimTime* run = &ends_[p * stride_];
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < count_[p]; ++i) {
+    if (run[i] > playback.begin) run[kept++] = run[i];
+  }
+  count_[p] = kept;
+  if (kept == stride_) {
+    const std::uint32_t stride = stride_ * 2;
+    std::vector<sim::SimTime> wider(count_.size() * stride);
+    for (std::size_t q = 0; q < count_.size(); ++q) {
+      for (std::uint32_t i = 0; i < count_[q]; ++i) {
+        wider[q * stride + i] = ends_[q * stride_ + i];
+      }
+    }
+    ends_.swap(wider);
+    stride_ = stride;
+    run = &ends_[p * stride_];
+  }
+  run[count_[p]++] = playback.end;
+}
+
+int ViewerOccupancy::active(PeerId peer, sim::SimTime now) const {
+  VODCACHE_EXPECTS(peer.value() < count_.size());
+  const std::size_t p = peer.value();
+  const sim::SimTime* run = &ends_[p * stride_];
+  int live = 0;
+  for (std::uint32_t i = 0; i < count_[p]; ++i) live += run[i] > now ? 1 : 0;
+  return live;
+}
+
+StreamSlots::StreamSlots(std::uint32_t peer_count, int limit)
+    : limit_(limit),
+      peer_count_(peer_count),
+      ends_(static_cast<std::size_t>(peer_count) *
+                static_cast<std::size_t>(limit < 0 ? 0 : limit),
+            kFree) {
+  VODCACHE_EXPECTS(peer_count > 0);
   VODCACHE_EXPECTS(limit >= 0);
-  // Serving is capped at `limit`, but viewer playback goes through
-  // acquire_unchecked and can stack one user's overlapping sessions past
-  // it.  Reserve generous slack so a box's first concurrency peak — which
-  // can land arbitrarily late in a run — does not reallocate mid-replay.
-  active_ends_.reserve(static_cast<std::size_t>(limit) + 8);
 }
 
-void StreamSlots::prune(sim::SimTime now) {
-  // Transmissions occupy [begin, end); one ending exactly at `now` is free.
-  std::erase_if(active_ends_, [now](sim::SimTime end) { return end <= now; });
-}
-
-int StreamSlots::active(sim::SimTime now) {
-  prune(now);
-  return static_cast<int>(active_ends_.size());
-}
-
-bool StreamSlots::try_acquire(sim::Interval interval) {
+bool StreamSlots::try_acquire(PeerId peer, sim::Interval interval,
+                              const ViewerOccupancy& viewers) {
   VODCACHE_EXPECTS(interval.valid());
-  if (active(interval.begin) >= limit_) return false;
-  active_ends_.push_back(interval.end);
+  if (active(peer, interval.begin, viewers) >= limit_) return false;
+  // Below the limit at most limit - 1 serves are live, so a slot is free.
+  sim::SimTime* run = ends_.data() + run_offset(peer);
+  *std::find_if(run, run + limit_, [&](sim::SimTime end) {
+    return end <= interval.begin;
+  }) = interval.end;
   return true;
 }
 
-void StreamSlots::acquire_unchecked(sim::Interval interval) {
-  VODCACHE_EXPECTS(interval.valid());
-  prune(interval.begin);
-  active_ends_.push_back(interval.end);
-}
-
-SetTopBox::SetTopBox(PeerId id, DataSize storage_contribution, int stream_limit)
-    : id_(id), contribution_(storage_contribution), slots_(stream_limit) {
-  VODCACHE_EXPECTS(storage_contribution >= DataSize{});
+int StreamSlots::active(PeerId peer, sim::SimTime now,
+                        const ViewerOccupancy& viewers) const {
+  VODCACHE_EXPECTS(peer.value() < peer_count_);
+  const sim::SimTime* run = ends_.data() + run_offset(peer);
+  int live = viewers.active(peer, now);
+  for (int i = 0; i < limit_; ++i) live += run[i] > now ? 1 : 0;
+  return live;
 }
 
 }  // namespace vodcache::hfc

@@ -1,63 +1,92 @@
-// Set-top box model.
+// Set-top box stream occupancy.
 //
 // The paper's peers are the STBs cable companies already deploy: always-on
 // (no churn), a fixed storage contribution to the neighborhood cache
 // (<= 10 GB of a ~40 GB disk), and at most two concurrently active streams
 // in either direction (section V-C).  Storage *contents* are tracked by
-// cache::SegmentStore; the box itself tracks its stream occupancy.
+// cache::SegmentStore; this file tracks the boxes' active streams.
+//
+// A box's streams come in two kinds, kept apart because they differ in
+// who decides them:
+//
+//  * viewer playback (ViewerOccupancy) — the trace is ground truth for what
+//    users watched, so playback is never refused, and it is the same under
+//    every cache policy.  One record per neighborhood serves the primary
+//    and every shadow cell.
+//  * serve transmissions (StreamSlots) — a box broadcasting a cached
+//    segment.  Which box serves depends on the policy's placement, so each
+//    side (the primary, every shadow cell) keeps its own.
+//
+// The limit applies when a box is asked to *serve*: a serve is admitted
+// iff the box's viewer playbacks plus serves active at its start are below
+// the limit.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 #include "util/ids.hpp"
-#include "util/units.hpp"
 
 namespace vodcache::hfc {
 
-// Concurrent-transmission bookkeeping for one device.  Transmissions are
-// intervals; expired ones are pruned lazily as the clock (queries are
-// monotone in simulation time) moves past their end.
-class StreamSlots {
+// Viewer playback of every box in one neighborhood.
+class ViewerOccupancy {
  public:
-  explicit StreamSlots(int limit);
+  explicit ViewerOccupancy(std::uint32_t peer_count);
 
-  // Number of transmissions still active at `now`.
-  [[nodiscard]] int active(sim::SimTime now);
+  // `viewer` watches over `playback`; never refused.
+  void occupy(PeerId viewer, sim::Interval playback);
 
-  // Acquire a slot for `interval` iff the limit allows; returns success.
-  [[nodiscard]] bool try_acquire(sim::Interval interval);
+  // Playbacks of `peer` still running at `now` (a transmission occupies
+  // [begin, end), so one ending exactly at `now` is over).
+  [[nodiscard]] int active(PeerId peer, sim::SimTime now) const;
 
-  // Acquire regardless of the limit.  Used for viewer playback: the trace
-  // is ground truth for what users watched, so playback is never blocked,
-  // but it still occupies a slot that counts when this box is asked to
-  // *serve* (the serving side is where the paper enforces the limit).
-  void acquire_unchecked(sim::Interval interval);
-
-  [[nodiscard]] int limit() const { return limit_; }
+  [[nodiscard]] std::uint32_t peer_count() const {
+    return static_cast<std::uint32_t>(count_.size());
+  }
 
  private:
-  void prune(sim::SimTime now);
-
-  int limit_;
-  std::vector<sim::SimTime> active_ends_;
+  // Peer-major runs of `stride_` end times, the first count_[p] of run p
+  // in use.  A user can stack overlapping sessions, so when one box's run
+  // is full of live playbacks every run is re-laid out at double stride
+  // (a high-water mark, like any growing vector).
+  std::uint32_t stride_ = 4;
+  std::vector<std::uint32_t> count_;
+  std::vector<sim::SimTime> ends_;
 };
 
-class SetTopBox {
+// One side's serve transmissions: `limit` end times per box, flat.  A serve
+// is admitted only while the box's total is below the limit, so at most
+// `limit` serves are ever live and a slot whose end has passed is free.
+class StreamSlots {
  public:
-  SetTopBox(PeerId id, DataSize storage_contribution, int stream_limit);
+  StreamSlots(std::uint32_t peer_count, int limit);
 
-  [[nodiscard]] PeerId id() const { return id_; }
-  [[nodiscard]] DataSize storage_contribution() const { return contribution_; }
-  [[nodiscard]] StreamSlots& slots() { return slots_; }
-  [[nodiscard]] const StreamSlots& slots() const { return slots_; }
+  // Acquire a serve slot on `peer` for `interval` iff the limit allows;
+  // returns success.
+  [[nodiscard]] bool try_acquire(PeerId peer, sim::Interval interval,
+                                 const ViewerOccupancy& viewers);
+
+  // Viewer playbacks plus serves active on `peer` at `now`.
+  [[nodiscard]] int active(PeerId peer, sim::SimTime now,
+                           const ViewerOccupancy& viewers) const;
+
+  [[nodiscard]] int limit() const { return limit_; }
+  [[nodiscard]] std::uint32_t peer_count() const { return peer_count_; }
 
  private:
-  PeerId id_;
-  DataSize contribution_;
-  StreamSlots slots_;
+  // Where `peer`'s slots start in ends_ (index through data(): at limit 0
+  // the array is empty).
+  [[nodiscard]] std::size_t run_offset(PeerId peer) const {
+    return static_cast<std::size_t>(peer.value()) *
+           static_cast<std::size_t>(limit_);
+  }
+
+  int limit_;
+  std::uint32_t peer_count_;
+  std::vector<sim::SimTime> ends_;
 };
 
 }  // namespace vodcache::hfc

@@ -12,8 +12,9 @@
 //     first trace record with start >= t (in the serial merge, a boundary
 //     at t runs after every session start before t and before any at t).
 //
-// Consumers (ReplayCursor via GlobalLfuStrategy) read the clock lazily, so
-// the plumbing stays out of the EvictionScorer interface.
+// Consumers (the ReplayCursor in the shard's cache::AccessLedger, advanced
+// for its GlobalLFU scorers) read the clock lazily, so the plumbing stays
+// out of the EvictionScorer interface.
 #pragma once
 
 #include <cstddef>

@@ -248,18 +248,29 @@ SystemConfig gated_config() {
 }
 
 constexpr auto kProgramSize = DataSize::megabytes(600);
+// Catalog size of the direct IndexServer tests' access ledger.
+constexpr std::size_t kPrograms = 16;
 
 struct GatedFixture {
   GatedFixture(std::unique_ptr<cache::AdmissionPolicy> admission,
                SystemConfig cfg = gated_config())
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
+        ledger(kPrograms, sim::SimTime{}),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               std::make_unique<cache::LruStrategy>(), std::move(admission),
+               std::make_unique<cache::LruStrategy>(ledger), std::move(admission),
                media, sim::SimTime::days(1)) {}
+
+  // A session start, recorded the way the shard records one: into the
+  // neighborhood's access ledger first, then with the index server.
+  bool start(ProgramId program, DataSize program_size, sim::SimTime t) {
+    ledger.record_access(program, t);
+    return server.start_session(program, program_size, t);
+  }
 
   SystemConfig config;
   MediaServer media;
+  cache::AccessLedger ledger;
   IndexServer server;
 };
 
@@ -268,7 +279,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
 
   // First-ever session: second-hit refuses, nothing fills.
   const bool admit =
-      f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_FALSE(admit);
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::seconds(300)}, admit,
@@ -279,7 +290,7 @@ TEST(IndexServerAdmission, RefusalLeavesCacheUntouchedAndCounts) {
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
 
   // Second session for the same program: admitted, fills.
-  const bool admit2 = f.server.start_session(ProgramId{0}, kProgramSize,
+  const bool admit2 = f.start(ProgramId{0}, kProgramSize,
                                              sim::SimTime::seconds(400));
   EXPECT_TRUE(admit2);
   f.server.serve_segment(
@@ -299,18 +310,18 @@ TEST(IndexServerAdmission, CoaxGateClosesUnderLoadAndReopens) {
 
   // Idle coax: admitted.
   const bool admit =
-      f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+      f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_TRUE(admit);
   // One full-bucket transmission pushes the first bucket's average to
   // 8 Mb/s, past the 5 Mb/s threshold...
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0},
                          {sim::SimTime{}, sim::SimTime::minutes(15)}, admit,
                          false);
-  EXPECT_FALSE(f.server.start_session(ProgramId{1}, kProgramSize,
+  EXPECT_FALSE(f.start(ProgramId{1}, kProgramSize,
                                       sim::SimTime::minutes(5)));
   EXPECT_EQ(f.server.counters().admission_denials, 1u);
   // ...but the next bucket is quiet again: the gate reopens.
-  EXPECT_TRUE(f.server.start_session(ProgramId{2}, kProgramSize,
+  EXPECT_TRUE(f.start(ProgramId{2}, kProgramSize,
                                      sim::SimTime::minutes(20)));
 }
 

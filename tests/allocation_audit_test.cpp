@@ -18,11 +18,13 @@
 // Everything is seeded, so this test is exactly reproducible — a failure
 // means a real allocation crept into the hot path, never noise.
 //
-// The shadow-matrix case audits every registered scorer and admission at
+// The shadow-matrix cases audit every registered scorer and admission at
 // once: the shadow bank rides the same feed() loop, so its 25 (scorer x
-// admission) pairs — GlobalLFU's replay cursor, the Oracle's future-index
-// lookups, the TinyLFU sketch, all of them — must be equally
-// allocation-free once warm.  Failure storms stay out of scope
+// admission) pairs — the Oracle's future-index lookups, the TinyLFU
+// sketch, all of them — must be equally allocation-free once warm, and so
+// must the shard's access ledger fanning window expiries (LFU primary) and
+// replay-cursor changes (GlobalLFU primary) out to every scorer's stale
+// set.  Failure storms stay out of scope
 // (wipe_peer returns the emptied-program vector by design).
 #include <gtest/gtest.h>
 
@@ -83,7 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
         AuditCase{core::StrategyKind::Lfu, core::CacheAdmission::WholeProgram,
                   true, "lfu_replicate"},
         AuditCase{core::StrategyKind::Lfu, core::CacheAdmission::WholeProgram,
-                  false, "lfu_shadow_matrix"}),
+                  false, "lfu_shadow_matrix"},
+        AuditCase{core::StrategyKind::GlobalLfu,
+                  core::CacheAdmission::WholeProgram, false,
+                  "global_shadow_matrix"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST_P(AllocationAudit, SteadyStateShardLoopIsAllocationFree) {
@@ -94,8 +99,7 @@ TEST_P(AllocationAudit, SteadyStateShardLoopIsAllocationFree) {
   // The shadow case rides the whole (scorer x admission) matrix — every
   // shadow's stores, sketches, and admission histories must hit their
   // high-water marks within the same warmup.
-  config.shadow_matrix =
-      std::string(c.label) == "lfu_shadow_matrix";
+  config.shadow_matrix = std::string(c.label).ends_with("shadow_matrix");
 
   const auto trace = audit_trace();
   const auto result =

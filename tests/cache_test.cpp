@@ -1,10 +1,11 @@
-// Unit tests for the cache layer: the cached-set index and all four
-// replacement strategies from the paper.
+// Unit tests for the cache layer: the cached-set index, all four
+// replacement strategies from the paper, and the global popularity board.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "cache/access_ledger.hpp"
 #include "cache/future_index.hpp"
 #include "cache/global_lfu.hpp"
 #include "cache/lfu.hpp"
@@ -13,12 +14,17 @@
 #include "cache/popularity_board.hpp"
 #include "cache/victim_index.hpp"
 #include "sim/replay_clock.hpp"
+#include "reference_popularity_board.hpp"
+#include "scorer_support.hpp"
 #include "util/rng.hpp"
 
 namespace vodcache::cache {
 namespace {
 
 sim::SimTime at_min(std::int64_t minutes) { return sim::SimTime::minutes(minutes); }
+
+// Catalog size of the scorer tests' ledgers.
+constexpr std::size_t kPrograms = 64;
 
 // ---------------------------------------------------------------- CachedSet
 
@@ -88,33 +94,36 @@ TEST(CachedSet, ProgramsListsAll) {
 // --------------------------------------------------------------------- LRU
 
 TEST(Lru, VictimIsLeastRecentlyUsed) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LruStrategy lru(ledger);
+  test::record(ledger, ProgramId{1}, at_min(1), lru);
   lru.on_admit(ProgramId{1}, at_min(1));
-  lru.record_access(ProgramId{2}, at_min(2));
+  test::record(ledger, ProgramId{2}, at_min(2), lru);
   lru.on_admit(ProgramId{2}, at_min(2));
-  lru.record_access(ProgramId{3}, at_min(3));
+  test::record(ledger, ProgramId{3}, at_min(3), lru);
   lru.on_admit(ProgramId{3}, at_min(3));
   EXPECT_EQ(lru.victim(at_min(4)), ProgramId{1});
 
   // Touch 1 -> victim moves to 2.
-  lru.record_access(ProgramId{1}, at_min(5));
+  test::record(ledger, ProgramId{1}, at_min(5), lru);
   EXPECT_EQ(lru.victim(at_min(6)), ProgramId{2});
 }
 
 TEST(Lru, CandidateAlwaysOutranksVictim) {
   // "If it is not in the cache already, it is added immediately."
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LruStrategy lru(ledger);
+  test::record(ledger, ProgramId{1}, at_min(1), lru);
   lru.on_admit(ProgramId{1}, at_min(1));
-  lru.record_access(ProgramId{9}, at_min(2));  // the candidate, just accessed
+  test::record(ledger, ProgramId{9}, at_min(2), lru);  // the candidate
   EXPECT_GT(lru.score(ProgramId{9}, at_min(2)),
             lru.score(*lru.victim(at_min(2)), at_min(2)));
 }
 
 TEST(Lru, EvictRemovesFromCachedSet) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LruStrategy lru(ledger);
+  test::record(ledger, ProgramId{1}, at_min(1), lru);
   lru.on_admit(ProgramId{1}, at_min(1));
   lru.on_evict(ProgramId{1});
   EXPECT_FALSE(lru.is_cached(ProgramId{1}));
@@ -122,8 +131,9 @@ TEST(Lru, EvictRemovesFromCachedSet) {
 }
 
 TEST(Lru, NeverAccessedScoresLowest) {
-  LruStrategy lru;
-  lru.record_access(ProgramId{1}, at_min(1));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LruStrategy lru(ledger);
+  test::record(ledger, ProgramId{1}, at_min(1), lru);
   EXPECT_LT(lru.score(ProgramId{42}, at_min(2)),
             lru.score(ProgramId{1}, at_min(2)));
 }
@@ -131,72 +141,78 @@ TEST(Lru, NeverAccessedScoresLowest) {
 TEST(Lru, ClassicReferenceSequence) {
   // Reference string 1,2,3,1,4 with capacity 3 (admissions driven manually
   // the way the index server would): 4 must evict 2.
-  LruStrategy lru;
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LruStrategy lru(ledger);
   for (const auto& [p, t] :
        {std::pair{1, 1}, {2, 2}, {3, 3}, {1, 4}}) {
-    lru.record_access(ProgramId{static_cast<std::uint32_t>(p)}, at_min(t));
+    test::record(ledger, ProgramId{static_cast<std::uint32_t>(p)}, at_min(t), lru);
     if (!lru.is_cached(ProgramId{static_cast<std::uint32_t>(p)})) {
       lru.on_admit(ProgramId{static_cast<std::uint32_t>(p)}, at_min(t));
     }
   }
-  lru.record_access(ProgramId{4}, at_min(5));
+  test::record(ledger, ProgramId{4}, at_min(5), lru);
   EXPECT_EQ(lru.victim(at_min(5)), ProgramId{2});
 }
 
 // --------------------------------------------------------------------- LFU
 
 TEST(Lfu, VictimIsLeastFrequent) {
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  for (int i = 0; i < 3; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessLedger ledger(kPrograms, sim::SimTime::hours(24));
+  LfuStrategy lfu(ledger);
+  for (int i = 0; i < 3; ++i) test::record(ledger, ProgramId{1}, at_min(i), lfu);
   lfu.on_admit(ProgramId{1}, at_min(3));
-  lfu.record_access(ProgramId{2}, at_min(4));
+  test::record(ledger, ProgramId{2}, at_min(4), lfu);
   lfu.on_admit(ProgramId{2}, at_min(4));
   EXPECT_EQ(lfu.victim(at_min(5)), ProgramId{2});
 }
 
 TEST(Lfu, FrequencyCountsWindowOnly) {
-  LfuStrategy lfu(sim::SimTime::hours(1));
-  lfu.record_access(ProgramId{1}, at_min(0));
-  lfu.record_access(ProgramId{1}, at_min(10));
+  AccessLedger ledger(kPrograms, sim::SimTime::hours(1));
+  LfuStrategy lfu(ledger);
+  test::record(ledger, ProgramId{1}, at_min(0), lfu);
+  test::record(ledger, ProgramId{1}, at_min(10), lfu);
   EXPECT_EQ(lfu.frequency(ProgramId{1}), 2);
   // Advance past the window: first event expires.
-  lfu.record_access(ProgramId{2}, at_min(65));
+  test::record(ledger, ProgramId{2}, at_min(65), lfu);
   EXPECT_EQ(lfu.frequency(ProgramId{1}), 1);
-  lfu.record_access(ProgramId{2}, at_min(75));
+  test::record(ledger, ProgramId{2}, at_min(75), lfu);
   EXPECT_EQ(lfu.frequency(ProgramId{1}), 0);
 }
 
 TEST(Lfu, ExpiryRerANKSCachedPrograms) {
-  LfuStrategy lfu(sim::SimTime::hours(1));
+  AccessLedger ledger(kPrograms, sim::SimTime::hours(1));
+  LfuStrategy lfu(ledger);
   // Program 1: burst of 3 accesses at t=0; program 2: steady 2 accesses.
-  for (int i = 0; i < 3; ++i) lfu.record_access(ProgramId{1}, at_min(0));
+  for (int i = 0; i < 3; ++i) test::record(ledger, ProgramId{1}, at_min(0), lfu);
   lfu.on_admit(ProgramId{1}, at_min(0));
-  lfu.record_access(ProgramId{2}, at_min(30));
-  lfu.record_access(ProgramId{2}, at_min(55));
+  test::record(ledger, ProgramId{2}, at_min(30), lfu);
+  test::record(ledger, ProgramId{2}, at_min(55), lfu);
   lfu.on_admit(ProgramId{2}, at_min(55));
   EXPECT_EQ(lfu.victim(at_min(56)), ProgramId{2});
   // After t=60+30, program 1's burst has fully expired but program 2 keeps
   // one in-window access: victim flips to 1.
-  lfu.record_access(ProgramId{3}, at_min(80));
+  test::record(ledger, ProgramId{3}, at_min(80), lfu);
   EXPECT_EQ(lfu.victim(at_min(80)), ProgramId{1});
 }
 
 TEST(Lfu, TiesResolveByRecency) {
   // "with ties being resolved using an LRU strategy"
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  lfu.record_access(ProgramId{1}, at_min(1));
+  AccessLedger ledger(kPrograms, sim::SimTime::hours(24));
+  LfuStrategy lfu(ledger);
+  test::record(ledger, ProgramId{1}, at_min(1), lfu);
   lfu.on_admit(ProgramId{1}, at_min(1));
-  lfu.record_access(ProgramId{2}, at_min(2));
+  test::record(ledger, ProgramId{2}, at_min(2), lfu);
   lfu.on_admit(ProgramId{2}, at_min(2));
   // Equal frequency (1 each); 1 is older -> victim.
   EXPECT_EQ(lfu.victim(at_min(3)), ProgramId{1});
 }
 
 TEST(Lfu, ZeroHistoryDegeneratesToLru) {
-  LfuStrategy lfu(sim::SimTime{});
-  for (int i = 0; i < 5; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  LfuStrategy lfu(ledger);
+  for (int i = 0; i < 5; ++i) test::record(ledger, ProgramId{1}, at_min(i), lfu);
   lfu.on_admit(ProgramId{1}, at_min(5));
-  lfu.record_access(ProgramId{2}, at_min(6));
+  test::record(ledger, ProgramId{2}, at_min(6), lfu);
   lfu.on_admit(ProgramId{2}, at_min(6));
   // Despite program 1's five accesses, frequency is always 0 with an empty
   // history; recency decides and 1 is older.
@@ -205,10 +221,11 @@ TEST(Lfu, ZeroHistoryDegeneratesToLru) {
 }
 
 TEST(Lfu, CandidateComparisonUsesFrequency) {
-  LfuStrategy lfu(sim::SimTime::hours(24));
-  for (int i = 0; i < 5; ++i) lfu.record_access(ProgramId{1}, at_min(i));
+  AccessLedger ledger(kPrograms, sim::SimTime::hours(24));
+  LfuStrategy lfu(ledger);
+  for (int i = 0; i < 5; ++i) test::record(ledger, ProgramId{1}, at_min(i), lfu);
   lfu.on_admit(ProgramId{1}, at_min(5));
-  lfu.record_access(ProgramId{2}, at_min(6));
+  test::record(ledger, ProgramId{2}, at_min(6), lfu);
   // Candidate 2 accessed once: does NOT outrank cached program 1.
   EXPECT_LT(lfu.score(ProgramId{2}, at_min(6)),
             lfu.score(ProgramId{1}, at_min(6)));
@@ -263,9 +280,10 @@ TEST(Oracle, VictimHasFewestFutureAccesses) {
   index.add(ProgramId{1}, at_min(100));
   index.freeze();
 
-  OracleStrategy oracle(index, sim::SimTime::days(3));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  OracleStrategy oracle(index, ledger, sim::SimTime::days(3));
   for (std::uint32_t p = 0; p < 3; ++p) {
-    oracle.record_access(ProgramId{p}, at_min(p));
+    test::record(ledger, ProgramId{p}, at_min(p), oracle);
     oracle.on_admit(ProgramId{p}, at_min(p));
   }
   EXPECT_EQ(oracle.victim(at_min(5)), ProgramId{2});
@@ -275,7 +293,8 @@ TEST(Oracle, ScoresDriftAsWindowSlides) {
   FutureIndex index(1);
   index.add(ProgramId{0}, at_min(100));
   index.freeze();
-  OracleStrategy oracle(index, sim::SimTime::hours(1));
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  OracleStrategy oracle(index, ledger, sim::SimTime::hours(1));
   EXPECT_EQ(oracle.score(ProgramId{0}, at_min(50)).first, 1);
   // By t=101 the access is in the past: zero future value.
   EXPECT_EQ(oracle.score(ProgramId{0}, at_min(101)).first, 0);
@@ -289,11 +308,12 @@ TEST(Oracle, RefreshRerANKSAfterDrift) {
   index.add(ProgramId{1}, at_min(310));
   index.freeze();
 
-  OracleStrategy oracle(index, sim::SimTime::hours(6),
+  AccessLedger ledger(kPrograms, sim::SimTime{});
+  OracleStrategy oracle(index, ledger, sim::SimTime::hours(6),
                         /*refresh_interval=*/sim::SimTime::minutes(30));
-  oracle.record_access(ProgramId{0}, at_min(0));
+  test::record(ledger, ProgramId{0}, at_min(0), oracle);
   oracle.on_admit(ProgramId{0}, at_min(0));
-  oracle.record_access(ProgramId{1}, at_min(1));
+  test::record(ledger, ProgramId{1}, at_min(1), oracle);
   oracle.on_admit(ProgramId{1}, at_min(1));
   // Early: program 1 (2 future) outranks program 0 (1 future).
   EXPECT_EQ(oracle.victim(at_min(2)), ProgramId{0});
@@ -306,7 +326,7 @@ TEST(Oracle, RefreshRerANKSAfterDrift) {
 // --------------------------------------------------------- PopularityBoard
 
 TEST(PopularityBoard, LiveCountsWithNoLag) {
-  PopularityBoard board(4, sim::SimTime::hours(1), sim::SimTime{});
+  test::PopularityBoard board(4, sim::SimTime::hours(1), sim::SimTime{});
   board.record(ProgramId{1}, at_min(0));
   board.record(ProgramId{1}, at_min(10));
   EXPECT_EQ(board.visible_count(ProgramId{1}, at_min(20)), 2);
@@ -315,7 +335,7 @@ TEST(PopularityBoard, LiveCountsWithNoLag) {
 }
 
 TEST(PopularityBoard, LiveNotificationsFire) {
-  PopularityBoard board(2, sim::SimTime::hours(1), sim::SimTime{});
+  test::PopularityBoard board(2, sim::SimTime::hours(1), sim::SimTime{});
   int notifications = 0;
   board.subscribe([&](ProgramId, sim::SimTime) { ++notifications; });
   board.record(ProgramId{0}, at_min(0));
@@ -326,7 +346,7 @@ TEST(PopularityBoard, LiveNotificationsFire) {
 }
 
 TEST(PopularityBoard, LaggedCountsFreezeAtBatch) {
-  PopularityBoard board(2, sim::SimTime::hours(24),
+  test::PopularityBoard board(2, sim::SimTime::hours(24),
                         /*lag=*/sim::SimTime::minutes(30));
   board.record(ProgramId{0}, at_min(5));
   // Before the first batch boundary, the snapshot is empty.
@@ -340,7 +360,7 @@ TEST(PopularityBoard, LaggedCountsFreezeAtBatch) {
 }
 
 TEST(PopularityBoard, SnapshotEpochAdvances) {
-  PopularityBoard board(1, sim::SimTime::hours(24),
+  test::PopularityBoard board(1, sim::SimTime::hours(24),
                         sim::SimTime::minutes(30));
   EXPECT_EQ(board.snapshot_epoch(), 0u);
   board.advance(at_min(31));
@@ -350,75 +370,14 @@ TEST(PopularityBoard, SnapshotEpochAdvances) {
 }
 
 TEST(PopularityBoard, LaggedExpiryHonorsWindowAtBoundary) {
-  PopularityBoard board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
+  test::PopularityBoard board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
   board.record(ProgramId{0}, at_min(0));
   // At the t=90 boundary the access is 90 > 60 minutes old: expired.
   EXPECT_EQ(board.visible_count(ProgramId{0}, at_min(95)), 0);
   // At the t=30 boundary it was visible.
-  PopularityBoard board2(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
+  test::PopularityBoard board2(1, sim::SimTime::hours(1), sim::SimTime::minutes(30));
   board2.record(ProgramId{0}, at_min(0));
   EXPECT_EQ(board2.visible_count(ProgramId{0}, at_min(35)), 1);
-}
-
-// --------------------------------------------------------------- GlobalLFU
-
-TEST(GlobalLfu, SeesAccessesFromOtherNeighborhoods) {
-  auto board = std::make_shared<PopularityBoard>(4, sim::SimTime::hours(24),
-                                                 sim::SimTime{});
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  // Neighborhood A sees lots of program 1; B has never seen it locally.
-  for (int i = 0; i < 5; ++i) a.record_access(ProgramId{1}, at_min(i));
-  b.record_access(ProgramId{2}, at_min(6));
-  // B's scoring still ranks 1 above 2 thanks to global data.
-  EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
-}
-
-TEST(GlobalLfu, LiveModeRerANKSRemoteCachedPrograms) {
-  auto board = std::make_shared<PopularityBoard>(4, sim::SimTime::hours(24),
-                                                 sim::SimTime{});
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  b.record_access(ProgramId{1}, at_min(0));
-  b.on_admit(ProgramId{1}, at_min(0));
-  b.record_access(ProgramId{2}, at_min(1));
-  b.record_access(ProgramId{2}, at_min(1));
-  b.on_admit(ProgramId{2}, at_min(1));
-  EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
-
-  // A's traffic boosts program 1 globally; B's victim flips to 2 without B
-  // seeing any local access.
-  for (int i = 0; i < 4; ++i) a.record_access(ProgramId{1}, at_min(3));
-  EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
-}
-
-TEST(GlobalLfu, LaggedModeAugmentsSnapshotWithLocal) {
-  auto board = std::make_shared<PopularityBoard>(
-      4, sim::SimTime::hours(24), /*lag=*/sim::SimTime::minutes(30));
-  GlobalLfuStrategy a(board);
-  GlobalLfuStrategy b(board);
-
-  // Before any batch: A's local accesses count for A but not for B.
-  a.record_access(ProgramId{1}, at_min(1));
-  a.record_access(ProgramId{1}, at_min(2));
-  b.record_access(ProgramId{2}, at_min(3));
-  EXPECT_EQ(a.score(ProgramId{1}, at_min(4)).first, 2);
-  EXPECT_EQ(b.score(ProgramId{1}, at_min(4)).first, 0);
-  EXPECT_EQ(b.score(ProgramId{2}, at_min(4)).first, 1);
-
-  // After the batch, B sees A's traffic.
-  EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
-}
-
-TEST(GlobalLfu, NameReflectsLag) {
-  auto live = std::make_shared<PopularityBoard>(1, sim::SimTime::hours(1),
-                                                sim::SimTime{});
-  auto lagged = std::make_shared<PopularityBoard>(1, sim::SimTime::hours(1),
-                                                  sim::SimTime::minutes(30));
-  EXPECT_EQ(GlobalLfuStrategy(live).name(), "GlobalLFU");
-  EXPECT_EQ(GlobalLfuStrategy(lagged).name(), "GlobalLFU(lagged)");
 }
 
 // ----------------------------------------------- ReplayBoard / ReplayCursor
@@ -537,7 +496,7 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
   }
 
   for (const auto lag : {sim::SimTime{}, sim::SimTime::minutes(30)}) {
-    PopularityBoard live(kPrograms, sim::SimTime::hours(2), lag);
+    test::PopularityBoard live(kPrograms, sim::SimTime::hours(2), lag);
     const auto replay = frozen_board(kPrograms, sim::SimTime::hours(2), lag,
                                      accesses);
     ReplayCursor cursor(*replay);
@@ -556,6 +515,23 @@ TEST(ReplayCursor, MatchesLiveBoardOverRandomSequence) {
 
 // ------------------------------------------------------- GlobalLFU, replay
 
+// One neighborhood's scorer stack outside a shard: its replay clock and
+// access ledger, and the GlobalLFU scorers riding it.
+struct GlobalNeighborhood {
+  explicit GlobalNeighborhood(std::shared_ptr<const ReplayBoard> board)
+      : ledger(board->program_count(), sim::SimTime{}, board, &clock) {}
+
+  // The clock as the shard sets it for an event at `now`, after `position`
+  // system-wide session starts.
+  void at(sim::SimTime now, std::size_t position) {
+    clock.now = now;
+    clock.position = position;
+  }
+
+  sim::ReplayClock clock;
+  AccessLedger ledger;
+};
+
 TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
   std::vector<ReplayBoard::Access> accesses;
   for (int i = 0; i < 5; ++i) accesses.push_back({at_min(i), ProgramId{1}});
@@ -563,19 +539,19 @@ TEST(GlobalLfuReplay, SeesAccessesFromOtherNeighborhoods) {
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  GlobalNeighborhood na(board), nb(board);
+  GlobalLfuStrategy a(na.ledger);
+  GlobalLfuStrategy b(nb.ledger);
 
   // Neighborhood A sees lots of program 1; B has never seen it locally.
   for (std::size_t i = 0; i < 5; ++i) {
-    clock_a = {at_min(static_cast<std::int64_t>(i)), i};
-    a.record_access(ProgramId{1}, clock_a.now);
+    na.at(at_min(static_cast<std::int64_t>(i)), i);
+    test::record(na.ledger, ProgramId{1}, na.clock.now, a);
   }
-  clock_b = {at_min(6), 5};
-  b.record_access(ProgramId{2}, at_min(6));
+  nb.at(at_min(6), 5);
+  test::record(nb.ledger, ProgramId{2}, at_min(6), b);
   // B's scoring still ranks 1 above 2 thanks to global data.
-  clock_b = {at_min(7), 6};
+  nb.at(at_min(7), 6);
   EXPECT_GT(b.score(ProgramId{1}, at_min(7)), b.score(ProgramId{2}, at_min(7)));
 }
 
@@ -587,28 +563,28 @@ TEST(GlobalLfuReplay, ReranksRemoteCachedPrograms) {
   const auto board =
       frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  GlobalNeighborhood na(board), nb(board);
+  GlobalLfuStrategy a(na.ledger);
+  GlobalLfuStrategy b(nb.ledger);
 
-  clock_b = {at_min(0), 0};
-  b.record_access(ProgramId{1}, at_min(0));
+  nb.at(at_min(0), 0);
+  test::record(nb.ledger, ProgramId{1}, at_min(0), b);
   b.on_admit(ProgramId{1}, at_min(0));
-  clock_b = {at_min(1), 1};
-  b.record_access(ProgramId{2}, at_min(1));
-  clock_b = {at_min(1), 2};
-  b.record_access(ProgramId{2}, at_min(1));
+  nb.at(at_min(1), 1);
+  test::record(nb.ledger, ProgramId{2}, at_min(1), b);
+  nb.at(at_min(1), 2);
+  test::record(nb.ledger, ProgramId{2}, at_min(1), b);
   b.on_admit(ProgramId{2}, at_min(1));
-  clock_b = {at_min(2), 3};
+  nb.at(at_min(2), 3);
   EXPECT_EQ(b.victim(at_min(2)), ProgramId{1});
 
   // A's traffic boosts program 1 globally; B's victim flips to 2 without B
   // seeing any local access.
   for (std::size_t i = 0; i < 4; ++i) {
-    clock_a = {at_min(3), 3 + i};
-    a.record_access(ProgramId{1}, at_min(3));
+    na.at(at_min(3), 3 + i);
+    test::record(na.ledger, ProgramId{1}, at_min(3), a);
   }
-  clock_b = {at_min(4), 7};
+  nb.at(at_min(4), 7);
   EXPECT_EQ(b.victim(at_min(4)), ProgramId{2});
 }
 
@@ -619,36 +595,131 @@ TEST(GlobalLfuReplay, LaggedModeAugmentsSnapshotWithLocal) {
                                    {at_min(2), ProgramId{1}},
                                    {at_min(3), ProgramId{2}}});
 
-  sim::ReplayClock clock_a, clock_b;
-  GlobalLfuStrategy a(board, &clock_a);
-  GlobalLfuStrategy b(board, &clock_b);
+  GlobalNeighborhood na(board), nb(board);
+  GlobalLfuStrategy a(na.ledger);
+  GlobalLfuStrategy b(nb.ledger);
 
   // Before any batch: A's local accesses count for A but not for B.
-  clock_a = {at_min(1), 0};
-  a.record_access(ProgramId{1}, at_min(1));
-  clock_a = {at_min(2), 1};
-  a.record_access(ProgramId{1}, at_min(2));
-  clock_b = {at_min(3), 2};
-  b.record_access(ProgramId{2}, at_min(3));
+  na.at(at_min(1), 0);
+  test::record(na.ledger, ProgramId{1}, at_min(1), a);
+  na.at(at_min(2), 1);
+  test::record(na.ledger, ProgramId{1}, at_min(2), a);
+  nb.at(at_min(3), 2);
+  test::record(nb.ledger, ProgramId{2}, at_min(3), b);
 
-  clock_a = {at_min(4), 3};
-  clock_b = {at_min(4), 3};
+  na.at(at_min(4), 3);
+  nb.at(at_min(4), 3);
   EXPECT_EQ(a.score(ProgramId{1}, at_min(4)).first, 2);
   EXPECT_EQ(b.score(ProgramId{1}, at_min(4)).first, 0);
   EXPECT_EQ(b.score(ProgramId{2}, at_min(4)).first, 1);
 
   // After the batch, B sees A's traffic.
-  clock_b = {at_min(31), 3};
+  nb.at(at_min(31), 3);
   EXPECT_EQ(b.score(ProgramId{1}, at_min(31)).first, 2);
 }
 
 TEST(GlobalLfuReplay, NameReflectsLag) {
-  const auto live = frozen_board(1, sim::SimTime::hours(1), sim::SimTime{}, {});
-  const auto lagged =
-      frozen_board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30), {});
-  sim::ReplayClock clock;
-  EXPECT_EQ(GlobalLfuStrategy(live, &clock).name(), "GlobalLFU");
-  EXPECT_EQ(GlobalLfuStrategy(lagged, &clock).name(), "GlobalLFU(lagged)");
+  GlobalNeighborhood live(
+      frozen_board(1, sim::SimTime::hours(1), sim::SimTime{}, {}));
+  GlobalNeighborhood lagged(
+      frozen_board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30), {}));
+  EXPECT_EQ(GlobalLfuStrategy(live.ledger).name(), "GlobalLFU");
+  EXPECT_EQ(GlobalLfuStrategy(lagged.ledger).name(), "GlobalLFU(lagged)");
+}
+
+// ------------------------------------------- GlobalLFU, one shard's scorers
+//
+// The primary and every shadow cell of a shard read one ledger, hence one
+// replay cursor: each must rank exactly as it would alone.
+
+TEST(GlobalLfu, SeesAccessesFromOtherNeighborhoods) {
+  std::vector<ReplayBoard::Access> accesses;
+  for (int i = 0; i < 5; ++i) accesses.push_back({at_min(i), ProgramId{1}});
+  accesses.push_back({at_min(6), ProgramId{2}});
+  const auto board =
+      frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
+
+  // A's accesses come only through the board; B carries two scorers.
+  GlobalNeighborhood nb(board);
+  GlobalLfuStrategy primary(nb.ledger);
+  GlobalLfuStrategy cell(nb.ledger);
+  nb.at(at_min(6), 5);
+  test::record(nb.ledger, ProgramId{2}, at_min(6), primary, cell);
+  nb.at(at_min(7), 6);
+  for (GlobalLfuStrategy* scorer : {&primary, &cell}) {
+    EXPECT_GT(scorer->score(ProgramId{1}, at_min(7)),
+              scorer->score(ProgramId{2}, at_min(7)));
+  }
+}
+
+TEST(GlobalLfu, LiveModeRerANKSRemoteCachedPrograms) {
+  std::vector<ReplayBoard::Access> accesses{{at_min(0), ProgramId{1}},
+                                            {at_min(1), ProgramId{2}},
+                                            {at_min(1), ProgramId{2}}};
+  for (int i = 0; i < 4; ++i) accesses.push_back({at_min(3), ProgramId{1}});
+  const auto board =
+      frozen_board(4, sim::SimTime::hours(24), sim::SimTime{}, accesses);
+
+  // Two scorers of one shard with different cached sets: the cell caches
+  // only program 1 and so never re-ranks 2.
+  GlobalNeighborhood nb(board);
+  GlobalLfuStrategy primary(nb.ledger);
+  GlobalLfuStrategy cell(nb.ledger);
+  nb.at(at_min(0), 0);
+  test::record(nb.ledger, ProgramId{1}, at_min(0), primary, cell);
+  primary.on_admit(ProgramId{1}, at_min(0));
+  cell.on_admit(ProgramId{1}, at_min(0));
+  nb.at(at_min(1), 1);
+  test::record(nb.ledger, ProgramId{2}, at_min(1), primary, cell);
+  nb.at(at_min(1), 2);
+  test::record(nb.ledger, ProgramId{2}, at_min(1), primary, cell);
+  primary.on_admit(ProgramId{2}, at_min(1));
+  nb.at(at_min(2), 3);
+  EXPECT_EQ(primary.victim(at_min(2)), ProgramId{1});
+  EXPECT_EQ(cell.victim(at_min(2)), ProgramId{1});
+
+  // Remote traffic boosts program 1; the primary's victim flips to 2
+  // without a local access, whichever scorer advances the shared cursor.
+  nb.at(at_min(4), 7);
+  EXPECT_EQ(cell.victim(at_min(4)), ProgramId{1});
+  EXPECT_EQ(cell.score(ProgramId{1}, at_min(4)).first, 5);
+  EXPECT_EQ(primary.victim(at_min(4)), ProgramId{2});
+}
+
+TEST(GlobalLfu, LaggedModeAugmentsSnapshotWithLocal) {
+  const auto board = frozen_board(4, sim::SimTime::hours(24),
+                                  /*lag=*/sim::SimTime::minutes(30),
+                                  {{at_min(1), ProgramId{1}},
+                                   {at_min(2), ProgramId{1}},
+                                   {at_min(3), ProgramId{2}}});
+
+  // Both scorers of A's shard count A's local accesses before the batch,
+  // and stop double-counting them once the batch folds them in.
+  GlobalNeighborhood na(board);
+  GlobalLfuStrategy primary(na.ledger);
+  GlobalLfuStrategy cell(na.ledger);
+  na.at(at_min(1), 0);
+  test::record(na.ledger, ProgramId{1}, at_min(1), primary, cell);
+  na.at(at_min(2), 1);
+  test::record(na.ledger, ProgramId{1}, at_min(2), primary, cell);
+  na.at(at_min(4), 3);
+  EXPECT_EQ(primary.score(ProgramId{1}, at_min(4)).first, 2);
+  EXPECT_EQ(cell.score(ProgramId{1}, at_min(4)).first, 2);
+  EXPECT_EQ(cell.score(ProgramId{2}, at_min(4)).first, 0);
+
+  na.at(at_min(31), 3);
+  EXPECT_EQ(primary.score(ProgramId{1}, at_min(31)).first, 2);
+  EXPECT_EQ(cell.score(ProgramId{1}, at_min(31)).first, 2);
+  EXPECT_EQ(cell.score(ProgramId{2}, at_min(31)).first, 1);
+}
+
+TEST(GlobalLfu, NameReflectsLag) {
+  GlobalNeighborhood lagged(
+      frozen_board(1, sim::SimTime::hours(1), sim::SimTime::minutes(30), {}));
+  GlobalLfuStrategy primary(lagged.ledger);
+  GlobalLfuStrategy cell(lagged.ledger);
+  EXPECT_EQ(primary.name(), "GlobalLFU(lagged)");
+  EXPECT_EQ(cell.name(), "GlobalLFU(lagged)");
 }
 
 }  // namespace

@@ -35,18 +35,29 @@ sim::Interval span(std::int64_t from_s, std::int64_t to_s) {
 constexpr double kSegmentBits = 8e6 * 300;
 // Two-segment program footprint used by the direct IndexServer tests.
 constexpr auto kProgramSize = DataSize::megabytes(600);
+// Catalog size of the direct IndexServer tests' access ledger.
+constexpr std::size_t kPrograms = 16;
 constexpr auto kOneSegment = DataSize::megabytes(300);
 
 struct Fixture {
   explicit Fixture(SystemConfig cfg = small_config())
       : config(cfg),
         media(sim::SimTime::days(1), config.meter_bucket),
+        ledger(kPrograms, sim::SimTime{}),
         server(NeighborhoodId{0}, config.neighborhood_size, config,
-               std::make_unique<cache::LruStrategy>(), /*admission=*/nullptr,
+               std::make_unique<cache::LruStrategy>(ledger), /*admission=*/nullptr,
                media, sim::SimTime::days(1)) {}
+
+  // A session start, recorded the way the shard records one: into the
+  // neighborhood's access ledger first, then with the index server.
+  bool start(ProgramId program, DataSize program_size, sim::SimTime t) {
+    ledger.record_access(program, t);
+    return server.start_session(program, program_size, t);
+  }
 
   SystemConfig config;
   MediaServer media;
+  cache::AccessLedger ledger;
   IndexServer server;
 };
 
@@ -54,7 +65,7 @@ struct Fixture {
 
 TEST(IndexServer, ColdMissGoesToServerAndFills) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   EXPECT_TRUE(admit);  // LRU admits immediately
 
   const auto result = f.server.serve_segment(
@@ -68,7 +79,7 @@ TEST(IndexServer, ColdMissGoesToServerAndFills) {
 
 TEST(IndexServer, SecondRequestIsPeerHit) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const auto result = f.server.serve_segment(
@@ -83,7 +94,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
   // Section VI-B: the broadcast consumes the same coax bandwidth whether a
   // peer or the headend sends it.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -94,7 +105,7 @@ TEST(IndexServer, CoaxCarriesHitsAndMissesAlike) {
 
 TEST(IndexServer, ConservationCoaxEqualsServerPlusPeer) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   for (int i = 0; i < 6; ++i) {
     f.server.serve_segment(PeerId{static_cast<std::uint32_t>(i % 4)},
                            {ProgramId{0}, static_cast<std::uint32_t>(i % 2)},
@@ -109,7 +120,7 @@ TEST(IndexServer, BusyPeerTriggersMissAndReplica) {
   auto cfg = small_config();
   cfg.replicate_on_busy = true;  // the replication extension
   Fixture f(cfg);
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   // Fill the segment once (cold miss).
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
@@ -139,7 +150,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
   // Paper-faithful default: a busy miss is served by the central server and
   // the already-cached segment is left alone.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   f.server.serve_segment(PeerId{1}, {ProgramId{0}, 0}, span(400, 700), admit,
@@ -154,7 +165,7 @@ TEST(IndexServer, NoReplicaOnBusyByDefault) {
 
 TEST(IndexServer, ViewerPlaybackCountsAgainstServing) {
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 300), admit,
                          true);
   const PeerId storer = f.server.store().locate({ProgramId{0}, 0})[0];
@@ -180,7 +191,7 @@ TEST(IndexServer, NoFillForPartialSlice) {
   // A viewer quitting mid-segment stops the broadcast; the partial segment
   // is not cached.
   Fixture f;
-  const bool admit = f.server.start_session(ProgramId{0}, kProgramSize, sim::SimTime{});
+  const bool admit = f.start(ProgramId{0}, kProgramSize, sim::SimTime{});
   f.server.serve_segment(PeerId{0}, {ProgramId{0}, 0}, span(0, 120), admit,
                          /*full_slice=*/false);
   EXPECT_FALSE(f.server.store().contains({ProgramId{0}, 0}));
@@ -196,7 +207,7 @@ TEST(IndexServer, LruEvictionMakesRoom) {
 
   for (std::uint32_t p = 0; p < 2; ++p) {
     const bool admit =
-        f.server.start_session(ProgramId{p}, kOneSegment,
+        f.start(ProgramId{p}, kOneSegment,
                                sim::SimTime::seconds(p * 1000));
     f.server.serve_segment(PeerId{0}, {ProgramId{p}, 0},
                            span(p * 1000, p * 1000 + 300), admit, true);
@@ -206,7 +217,7 @@ TEST(IndexServer, LruEvictionMakesRoom) {
 
   // Program 2 arrives: LRU discards program 0 (least recently accessed).
   const bool admit =
-      f.server.start_session(ProgramId{2}, kOneSegment,
+      f.start(ProgramId{2}, kOneSegment,
                              sim::SimTime::seconds(5000));
   f.server.serve_segment(PeerId{0}, {ProgramId{2}, 0}, span(5000, 5300),
                          admit, true);
@@ -223,7 +234,7 @@ TEST(IndexServer, StrategyAndStoreStayConsistent) {
   Fixture f(config);
   for (std::uint32_t p = 0; p < 6; ++p) {
     const bool admit =
-        f.server.start_session(ProgramId{p}, kOneSegment,
+        f.start(ProgramId{p}, kOneSegment,
                                sim::SimTime::seconds(p * 600));
     f.server.serve_segment(PeerId{p % 2}, {ProgramId{p}, 0},
                            span(p * 600, p * 600 + 300), admit, true);

@@ -199,66 +199,106 @@ sim::Interval span(std::int64_t from_s, std::int64_t to_s) {
   return {sim::SimTime::seconds(from_s), sim::SimTime::seconds(to_s)};
 }
 
+// One box seen from one side: its neighborhood's viewer record and the
+// side's serve slots.
+struct Box {
+  explicit Box(int limit) : viewers(1), slots(1, limit) {}
+
+  bool serve(sim::Interval interval) {
+    return slots.try_acquire(PeerId{0}, interval, viewers);
+  }
+  void watch(sim::Interval interval) { viewers.occupy(PeerId{0}, interval); }
+  int active(std::int64_t at_s) const {
+    return slots.active(PeerId{0}, sim::SimTime::seconds(at_s), viewers);
+  }
+
+  ViewerOccupancy viewers;
+  StreamSlots slots;
+};
+
 TEST(StreamSlots, AcquireUpToLimit) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_FALSE(slots.try_acquire(span(0, 300)));
+  Box box(2);
+  EXPECT_TRUE(box.serve(span(0, 300)));
+  EXPECT_TRUE(box.serve(span(0, 300)));
+  EXPECT_FALSE(box.serve(span(0, 300)));
 }
 
 TEST(StreamSlots, ReleasesAfterExpiry) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
+  Box box(2);
+  EXPECT_TRUE(box.serve(span(0, 300)));
+  EXPECT_TRUE(box.serve(span(0, 300)));
   // Both transmissions ended by t=300.
-  EXPECT_TRUE(slots.try_acquire(span(300, 600)));
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(300)), 1);
+  EXPECT_TRUE(box.serve(span(300, 600)));
+  EXPECT_EQ(box.active(300), 1);
 }
 
 TEST(StreamSlots, EndExactlyAtQueryIsFree) {
-  StreamSlots slots(1);
-  EXPECT_TRUE(slots.try_acquire(span(0, 100)));
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(100)), 0);
+  Box box(1);
+  EXPECT_TRUE(box.serve(span(0, 100)));
+  EXPECT_EQ(box.active(100), 0);
 }
 
 TEST(StreamSlots, OverlappingWindows) {
-  StreamSlots slots(2);
-  EXPECT_TRUE(slots.try_acquire(span(0, 300)));
-  EXPECT_TRUE(slots.try_acquire(span(100, 400)));
-  EXPECT_FALSE(slots.try_acquire(span(200, 500)));
-  EXPECT_TRUE(slots.try_acquire(span(300, 600)));  // first expired
+  Box box(2);
+  EXPECT_TRUE(box.serve(span(0, 300)));
+  EXPECT_TRUE(box.serve(span(100, 400)));
+  EXPECT_FALSE(box.serve(span(200, 500)));
+  EXPECT_TRUE(box.serve(span(300, 600)));  // first expired
 }
 
 TEST(StreamSlots, UncheckedExceedsLimit) {
-  StreamSlots slots(2);
-  slots.acquire_unchecked(span(0, 300));
-  slots.acquire_unchecked(span(0, 300));
-  slots.acquire_unchecked(span(0, 300));  // viewer playback never blocked
-  EXPECT_EQ(slots.active(sim::SimTime::seconds(1)), 3);
-  EXPECT_FALSE(slots.try_acquire(span(1, 10)));
+  Box box(2);
+  box.watch(span(0, 300));
+  box.watch(span(0, 300));
+  box.watch(span(0, 300));  // viewer playback never blocked
+  EXPECT_EQ(box.active(1), 3);
+  EXPECT_FALSE(box.serve(span(1, 10)));
 }
 
 TEST(StreamSlots, ViewerOccupancyBlocksServing) {
   // The paper's serving-side rule: a box already watching 2 streams cannot
   // serve a third.
-  StreamSlots slots(2);
-  slots.acquire_unchecked(span(0, 1000));  // viewer's own playback
-  EXPECT_TRUE(slots.try_acquire(span(10, 310)));   // one serve fits
-  EXPECT_FALSE(slots.try_acquire(span(20, 320)));  // second serve refused
+  Box box(2);
+  box.watch(span(0, 1000));                 // viewer's own playback
+  EXPECT_TRUE(box.serve(span(10, 310)));    // one serve fits
+  EXPECT_FALSE(box.serve(span(20, 320)));   // second serve refused
 }
 
 TEST(StreamSlots, ZeroLimitRefusesAll) {
-  StreamSlots slots(0);
-  EXPECT_FALSE(slots.try_acquire(span(0, 1)));
+  Box box(0);
+  EXPECT_FALSE(box.serve(span(0, 1)));
 }
 
-// ---------------------------------------------------------------- SetTopBox
+TEST(StreamSlots, SidesShareViewersButNotServes) {
+  // The primary and a shadow cell of one neighborhood: playback recorded
+  // once counts on both sides; each side's serves count only on its own.
+  ViewerOccupancy viewers(3);
+  StreamSlots primary(3, 2);
+  StreamSlots cell(3, 2);
+  viewers.occupy(PeerId{1}, span(0, 1000));
+  EXPECT_TRUE(primary.try_acquire(PeerId{1}, span(10, 310), viewers));
+  EXPECT_FALSE(primary.try_acquire(PeerId{1}, span(20, 320), viewers));
+  EXPECT_TRUE(cell.try_acquire(PeerId{1}, span(20, 320), viewers));
+  EXPECT_EQ(primary.active(PeerId{1}, sim::SimTime::seconds(30), viewers), 2);
+  EXPECT_EQ(cell.active(PeerId{1}, sim::SimTime::seconds(30), viewers), 2);
+  // Other boxes are untouched.
+  EXPECT_EQ(primary.active(PeerId{0}, sim::SimTime::seconds(30), viewers), 0);
+  EXPECT_EQ(viewers.active(PeerId{2}, sim::SimTime::seconds(30)), 0);
+}
 
-TEST(SetTopBox, HoldsContributionAndSlots) {
-  SetTopBox box(PeerId{7}, DataSize::gigabytes(10), 2);
-  EXPECT_EQ(box.id(), PeerId{7});
-  EXPECT_EQ(box.storage_contribution(), DataSize::gigabytes(10));
-  EXPECT_EQ(box.slots().limit(), 2);
+TEST(ViewerOccupancy, StacksPastAnyFixedWidth) {
+  // One user stacking many overlapping sessions widens every box's run
+  // without losing a playback on another box.
+  ViewerOccupancy viewers(2);
+  viewers.occupy(PeerId{0}, span(0, 5000));
+  for (int i = 0; i < 20; ++i) viewers.occupy(PeerId{1}, span(i, 1000 + i));
+  EXPECT_EQ(viewers.active(PeerId{1}, sim::SimTime::seconds(20)), 20);
+  EXPECT_EQ(viewers.active(PeerId{0}, sim::SimTime::seconds(20)), 1);
+  // Ended playbacks stop counting, and are dropped at the next occupy.
+  EXPECT_EQ(viewers.active(PeerId{1}, sim::SimTime::seconds(1010)), 9);
+  viewers.occupy(PeerId{1}, span(1010, 1100));
+  EXPECT_EQ(viewers.active(PeerId{1}, sim::SimTime::seconds(1010)), 10);
+  EXPECT_EQ(viewers.active(PeerId{0}, sim::SimTime::seconds(1010)), 1);
 }
 
 }  // namespace

@@ -78,9 +78,9 @@ TEST(PolicyRegistry, FactoriesProduceTheNamedScorer) {
       catalog.size(), sim::SimTime::hours(1), sim::SimTime{});
   board->freeze();
   sim::ReplayClock clock;
-  const ScorerContext context{strategy, catalog, &future,
-                              std::shared_ptr<const cache::ReplayBoard>(board),
-                              &clock};
+  cache::AccessLedger ledger(catalog.size(), strategy.lfu_history, board,
+                             &clock);
+  const ScorerContext context{strategy, catalog, &future, &ledger};
 
   for (const auto& entry : scorer_registry()) {
     const auto scorer = entry.make(context);

@@ -10,6 +10,7 @@
 #include "cache/lfu.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/victim_index.hpp"
+#include "scorer_support.hpp"
 #include "sim/rate_meter.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -101,14 +102,15 @@ TEST_P(Seeded, CachedSetMinMatchesBruteForce) {
 TEST_P(Seeded, LfuFrequencyMatchesBruteForce) {
   Rng rng(GetParam());
   const auto history = sim::SimTime::minutes(90);
-  cache::LfuStrategy lfu(history);
+  cache::AccessLedger ledger(12, history);
+  cache::LfuStrategy lfu(ledger);
   std::vector<std::pair<sim::SimTime, ProgramId>> log;
 
   sim::SimTime now;
   for (int step = 0; step < 2000; ++step) {
     now += sim::SimTime::seconds(rng.uniform_int(1, 300));
     const ProgramId p{static_cast<std::uint32_t>(rng.uniform_u64(12))};
-    lfu.record_access(p, now);
+    test::record(ledger, p, now, lfu);
     log.emplace_back(now, p);
 
     const ProgramId probe{static_cast<std::uint32_t>(rng.uniform_u64(12))};

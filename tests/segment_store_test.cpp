@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/segment_store.hpp"
+#include "reference_placement.hpp"
+#include "util/rng.hpp"
 
 namespace vodcache::cache {
 namespace {
@@ -172,6 +174,75 @@ TEST(SegmentStore, ManyOperationsPreserveAccounting) {
       static_cast<double>(store.used().bit_count()) / 8.0;
   for (std::uint32_t p = 0; p < 8; ++p) {
     EXPECT_LE(store.peer_used(PeerId{p}).bit_count(), 2.0 * mean_bits + kSeg.bit_count());
+  }
+}
+
+// ------------------------------------------------------------ placement
+
+TEST(SegmentStorePlacement, TiesGoToTheLargerPeer) {
+  auto store = make_store(4, DataSize::gigabytes(1));
+  EXPECT_EQ(store.store({ProgramId{0}, 0}, kSeg), PeerId{3});
+  EXPECT_EQ(store.store({ProgramId{0}, 1}, kSeg), PeerId{2});
+  // A replica skips the holder even when it is the tie winner.
+  (void)store.store({ProgramId{0}, 2}, kSeg);  // peer 1
+  (void)store.store({ProgramId{0}, 3}, kSeg);  // peer 0: all tied again
+  EXPECT_EQ(store.store({ProgramId{0}, 3}, kSeg), PeerId{3});
+}
+
+TEST(SegmentStorePlacement, ZeroContributionPeersNeverStore) {
+  SegmentStore store({DataSize{}, DataSize::megabytes(400), DataSize{}});
+  EXPECT_EQ(store.store({ProgramId{0}, 0}, kSeg), PeerId{1});
+  EXPECT_EQ(store.store({ProgramId{0}, 1}, kSeg), std::nullopt);
+  EXPECT_EQ(store.used(), kSeg);
+}
+
+// The max-tree chooses exactly the peer the lazy heap it replaced chose,
+// over random store / evict / wipe churn with replica exclusions, ties in
+// free space (contributions and segment sizes from small sets) and
+// zero-contribution peers.
+TEST(SegmentStorePlacement, MatchesLazyHeapReference) {
+  const std::int64_t sizes_mb[] = {0, 300, 600, 900, 1200};
+  const std::int64_t segment_mb[] = {100, 300, 300, 600};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const auto peers = static_cast<std::uint32_t>(rng.uniform_int(1, 12));
+    std::vector<DataSize> contributions;
+    for (std::uint32_t p = 0; p < peers; ++p) {
+      contributions.push_back(
+          DataSize::megabytes(sizes_mb[rng.uniform_u64(5)]));
+    }
+    SegmentStore store(contributions);
+    std::vector<std::int64_t> told;
+    for (const DataSize c : contributions) told.push_back(c.bit_count());
+    test::LazyFreeHeap reference(told);
+    const auto sync = [&] {
+      for (std::uint32_t p = 0; p < peers; ++p) {
+        const std::int64_t free =
+            (contributions[p] - store.peer_used(PeerId{p})).bit_count();
+        if (free != told[p]) reference.set_free(p, told[p] = free);
+      }
+    };
+
+    for (int step = 0; step < 600; ++step) {
+      const double op = rng.uniform_double();
+      if (op < 0.7) {
+        const SegmentKey key{
+            ProgramId{static_cast<std::uint32_t>(rng.uniform_u64(8))},
+            static_cast<std::uint32_t>(rng.uniform_u64(4))};
+        const auto bytes = DataSize::megabytes(segment_mb[rng.uniform_u64(4)]);
+        const auto expected =
+            reference.best_peer(bytes.bit_count(), store.locate(key));
+        ASSERT_EQ(store.store(key, bytes), expected)
+            << "seed " << seed << " step " << step;
+      } else if (op < 0.9) {
+        store.evict_program(
+            ProgramId{static_cast<std::uint32_t>(rng.uniform_u64(8))});
+      } else {
+        (void)store.wipe_peer(
+            PeerId{static_cast<std::uint32_t>(rng.uniform_u64(peers))});
+      }
+      sync();
+    }
   }
 }
 

@@ -8,7 +8,8 @@
 // exhaustively at test scale (bench_policy_matrix's cross-check mode is
 // the bench-scale spot check):
 //
-//  * every cell of the matrix vs its standalone run, all 8 counters;
+//  * every cell of the matrix vs its standalone run, all 8 counters, in
+//    every configuration the shard's shared per-cell state touches;
 //  * the shadow matrix itself is bit-identical across worker thread
 //    counts {1, 2, 8, 16} (per-shard single-owner shadows, fixed-order
 //    merge);
@@ -62,57 +63,96 @@ const ShadowCellReport* find_cell(const SimulationReport& report,
   return nullptr;
 }
 
+// The configurations a cell's shared per-shard state touches: stream
+// limits (viewer occupancy against each cell's serve slots), busy-miss
+// replication and segment admission (placement and its evictions), lagged
+// GlobalLFU (the snapshot path through the shared replay cursor), and a
+// failure wave (wipes under every cell's store).
+struct CellVariant {
+  const char* label;
+  void (*apply)(SystemConfig&);
+};
+
+const CellVariant kCellVariants[] = {
+    {"paper defaults", [](SystemConfig&) {}},
+    {"peer_stream_limit 0", [](SystemConfig& c) { c.peer_stream_limit = 0; }},
+    {"peer_stream_limit 1", [](SystemConfig& c) { c.peer_stream_limit = 1; }},
+    {"peer_stream_limit 3", [](SystemConfig& c) { c.peer_stream_limit = 3; }},
+    {"replicate_on_busy", [](SystemConfig& c) { c.replicate_on_busy = true; }},
+    {"segment admission",
+     [](SystemConfig& c) { c.admission = CacheAdmission::Segment; }},
+    {"lagged GlobalLFU",
+     [](SystemConfig& c) { c.strategy.global_lag = sim::SimTime::minutes(30); }},
+    {"peer-failure wave",
+     [](SystemConfig& c) {
+       SystemConfig::PeerFailure wave;
+       wave.time = sim::SimTime::hours(40);
+       wave.fraction = 0.3;
+       wave.seed = 7;
+       c.peer_failures.push_back(wave);
+     }},
+};
+
 // Every (scorer x admission) cell of one shadow pass must reproduce the
 // counters of a standalone run of that pair — the registry sweep the
-// single pass replaces.
+// single pass replaces — in every configuration of kCellVariants.
 TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
   const auto trace = shadow_trace();
-  auto config = shadow_config();
-  config.shadow_matrix = true;
-  config.threads = 2;
-  VodSystem shadow_system(trace, config);
-  const auto shadow_report = shadow_system.run();
+  for (const CellVariant& variant : kCellVariants) {
+    SCOPED_TRACE(variant.label);
+    auto config = shadow_config();
+    variant.apply(config);
+    config.shadow_matrix = true;
+    config.threads = 2;
+    VodSystem shadow_system(trace, config);
+    const auto shadow_report = shadow_system.run();
 
-  const std::size_t scorers = scorer_registry().size() - 1;  // minus None
-  ASSERT_EQ(shadow_report.shadow_matrix.size(),
-            scorers * admission_registry().size());
+    const std::size_t scorers = scorer_registry().size() - 1;  // minus None
+    ASSERT_EQ(shadow_report.shadow_matrix.size(),
+              scorers * admission_registry().size());
 
-  for (const auto& scorer : scorer_registry()) {
-    if (scorer.kind == StrategyKind::None) continue;
-    for (const auto& admission : admission_registry()) {
-      const auto* cell =
-          find_cell(shadow_report, scorer.display, admission.display);
-      ASSERT_NE(cell, nullptr)
-          << scorer.display << " x " << admission.display;
+    for (const auto& scorer : scorer_registry()) {
+      if (scorer.kind == StrategyKind::None) continue;
+      for (const auto& admission : admission_registry()) {
+        const auto* cell =
+            find_cell(shadow_report, scorer.display, admission.display);
+        ASSERT_NE(cell, nullptr)
+            << scorer.display << " x " << admission.display;
 
-      auto standalone_config = shadow_config();
-      standalone_config.strategy.kind = scorer.kind;
-      standalone_config.admission_policy.kind = admission.kind;
-      VodSystem standalone(trace, standalone_config);
-      const auto real = standalone.run();
+        auto standalone_config = shadow_config();
+        variant.apply(standalone_config);
+        standalone_config.strategy.kind = scorer.kind;
+        standalone_config.admission_policy.kind = admission.kind;
+        VodSystem standalone(trace, standalone_config);
+        const auto real = standalone.run();
 
-      const std::string label =
-          std::string(scorer.display) + " x " + admission.display;
-      EXPECT_EQ(cell->sessions, real.sessions) << label;
-      EXPECT_EQ(cell->segments, real.segments) << label;
-      EXPECT_EQ(cell->hits, real.hits) << label;
-      EXPECT_EQ(cell->cold_misses, real.cold_misses) << label;
-      EXPECT_EQ(cell->busy_misses, real.busy_misses) << label;
-      EXPECT_EQ(cell->evictions, real.evictions) << label;
-      EXPECT_EQ(cell->fills, real.fills) << label;
-      EXPECT_EQ(cell->admission_denials, real.admission_denials) << label;
+        const std::string label =
+            std::string(scorer.display) + " x " + admission.display;
+        EXPECT_EQ(cell->sessions, real.sessions) << label;
+        EXPECT_EQ(cell->segments, real.segments) << label;
+        EXPECT_EQ(cell->hits, real.hits) << label;
+        EXPECT_EQ(cell->cold_misses, real.cold_misses) << label;
+        EXPECT_EQ(cell->busy_misses, real.busy_misses) << label;
+        EXPECT_EQ(cell->evictions, real.evictions) << label;
+        EXPECT_EQ(cell->fills, real.fills) << label;
+        EXPECT_EQ(cell->admission_denials, real.admission_denials) << label;
+      }
+    }
+
+    // The workload must actually separate the pairs, or the equality above
+    // is vacuous: the always column and a gated column must disagree
+    // somewhere, and at least one gate must have refused something.
+    const auto* always = find_cell(shadow_report, "LRU", "always");
+    const auto* gated = find_cell(shadow_report, "LRU", "second-hit");
+    ASSERT_NE(always, nullptr);
+    ASSERT_NE(gated, nullptr);
+    EXPECT_NE(always->fills, gated->fills);
+    EXPECT_GT(gated->admission_denials, 0u);
+    // Serving must be exercised wherever the limit allows it.
+    if (config.peer_stream_limit > 0) {
+      EXPECT_GT(always->hits, 0u);
     }
   }
-
-  // The workload must actually separate the pairs, or the equality above
-  // is vacuous: the always column and a gated column must disagree
-  // somewhere, and at least one gate must have refused something.
-  const auto* always = find_cell(shadow_report, "LRU", "always");
-  const auto* gated = find_cell(shadow_report, "LRU", "second-hit");
-  ASSERT_NE(always, nullptr);
-  ASSERT_NE(gated, nullptr);
-  EXPECT_NE(always->fills, gated->fills);
-  EXPECT_GT(gated->admission_denials, 0u);
 }
 
 // The shadow matrix is merged shard-by-shard in shard order, so every
