@@ -119,19 +119,20 @@ bool crosscheck_cell(const trace::Trace& trace, core::SystemConfig config,
       ok = false;
     }
   };
-  check("sessions", cell.sessions, standalone.sessions);
-  check("segments", cell.segments, standalone.segments);
-  check("hits", cell.hits, standalone.hits);
-  check("cold_misses", cell.cold_misses, standalone.cold_misses);
-  check("busy_misses", cell.busy_misses, standalone.busy_misses);
-  check("evictions", cell.evictions, standalone.evictions);
-  check("fills", cell.fills, standalone.fills);
-  check("admission_denials", cell.admission_denials,
+  const auto& c = cell.counters;
+  check("sessions", c.sessions, standalone.sessions);
+  check("segments", c.segments, standalone.segments);
+  check("hits", c.hits, standalone.hits);
+  check("cold_misses", c.cold_misses, standalone.cold_misses);
+  check("busy_misses", c.busy_misses, standalone.busy_misses);
+  check("evictions", c.evictions, standalone.evictions);
+  check("fills", c.fills, standalone.fills);
+  check("admission_denials", c.admission_denials,
         standalone.admission_denials);
   if (ok) {
     std::cout << "crosscheck ok: " << cell.scorer << " x " << cell.admission
-              << " (hits=" << cell.hits << ", denials="
-              << cell.admission_denials << ")\n";
+              << " (hits=" << c.hits << ", denials=" << c.admission_denials
+              << ")\n";
   }
   return ok;
 }
@@ -191,16 +192,12 @@ int main() {
   // on the matrix's iteration order.
   std::map<std::string, std::map<std::string, double>> hit_by_pair;
   for (const auto& cell : matrix) {
-    const double byte_hit =
-        cell.hit_bits + cell.miss_bits > 0.0
-            ? cell.hit_bits / (cell.hit_bits + cell.miss_bits)
-            : 0.0;
     table.add_row({cell.scorer, cell.admission,
                    analysis::Table::num(cell.hit_ratio(), 3),
-                   analysis::Table::num(byte_hit, 3),
-                   std::to_string(cell.fills),
-                   std::to_string(cell.evictions),
-                   std::to_string(cell.admission_denials)});
+                   analysis::Table::num(cell.byte_hit_ratio(), 3),
+                   std::to_string(cell.counters.fills),
+                   std::to_string(cell.counters.evictions),
+                   std::to_string(cell.counters.admission_denials)});
     hit_by_pair[cell.scorer][cell.admission] = cell.hit_ratio();
   }
   for (const auto& [scorer, by_admission] : hit_by_pair) {
@@ -262,16 +259,14 @@ int main() {
       << ",\"peak_rss_kb\":" << bench::peak_rss_kb() << ",\"rows\":[";
   for (std::size_t i = 0; i < matrix.size(); ++i) {
     const auto& cell = matrix[i];
-    const double byte_hit =
-        cell.hit_bits + cell.miss_bits > 0.0
-            ? cell.hit_bits / (cell.hit_bits + cell.miss_bits)
-            : 0.0;
     out << (i ? "," : "") << "{\"scorer\":\"" << cell.scorer
         << "\",\"admission\":\"" << cell.admission
         << "\",\"hit_ratio\":" << cell.hit_ratio()
-        << ",\"byte_hit_ratio\":" << byte_hit
-        << ",\"fills\":" << cell.fills << ",\"evictions\":" << cell.evictions
-        << ",\"admission_denials\":" << cell.admission_denials << '}';
+        << ",\"byte_hit_ratio\":" << cell.byte_hit_ratio()
+        << ",\"fills\":" << cell.counters.fills
+        << ",\"evictions\":" << cell.counters.evictions
+        << ",\"admission_denials\":" << cell.counters.admission_denials
+        << '}';
   }
   out << "],\"gate_changed_hit_rate\":"
       << (gate_changed_hit_rate ? "true" : "false") << "}\n";

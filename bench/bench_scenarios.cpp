@@ -176,15 +176,11 @@ int main() {
     analysis::Table table({"scorer", "admission", "hit rate", "byte hit",
                            "fills", "denials"});
     for (const auto& cell : result.rows) {
-      const double byte_hit =
-          cell.hit_bits + cell.miss_bits > 0.0
-              ? cell.hit_bits / (cell.hit_bits + cell.miss_bits)
-              : 0.0;
       table.add_row({cell.scorer, cell.admission,
                      analysis::Table::num(cell.hit_ratio(), 3),
-                     analysis::Table::num(byte_hit, 3),
-                     std::to_string(cell.fills),
-                     std::to_string(cell.admission_denials)});
+                     analysis::Table::num(cell.byte_hit_ratio(), 3),
+                     std::to_string(cell.counters.fills),
+                     std::to_string(cell.counters.admission_denials)});
     }
     table.print(std::cout);
 
@@ -293,16 +289,14 @@ int main() {
         << ",\"rows\":[";
     for (std::size_t j = 0; j < result.rows.size(); ++j) {
       const auto& cell = result.rows[j];
-      const double byte_hit =
-          cell.hit_bits + cell.miss_bits > 0.0
-              ? cell.hit_bits / (cell.hit_bits + cell.miss_bits)
-              : 0.0;
       out << (j ? "," : "") << "{\"scorer\":\"" << cell.scorer
           << "\",\"admission\":\"" << cell.admission
           << "\",\"hit_ratio\":" << cell.hit_ratio()
-          << ",\"byte_hit_ratio\":" << byte_hit
-          << ",\"fills\":" << cell.fills << ",\"evictions\":" << cell.evictions
-          << ",\"admission_denials\":" << cell.admission_denials << '}';
+          << ",\"byte_hit_ratio\":" << cell.byte_hit_ratio()
+          << ",\"fills\":" << cell.counters.fills
+          << ",\"evictions\":" << cell.counters.evictions
+          << ",\"admission_denials\":" << cell.counters.admission_denials
+          << '}';
     }
     out << "]}";
   }

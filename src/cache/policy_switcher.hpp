@@ -37,7 +37,8 @@ namespace vodcache::cache {
 // report alone: because a shadow cell's counters equal a standalone run of
 // its pair exactly (PR 9's pinned equivalence), the post-switch primary
 // deltas must equal the standalone run's deltas from these marks
-// (pinned in tests/policy_switcher_test.cpp).
+// (pinned in tests/policy_switcher_test.cpp).  The names point at the
+// policy registry's static display strings, so an event outlives its shard.
 struct SwitchEvent {
   sim::SimTime time;
   const char* from_scorer = "";

@@ -35,16 +35,15 @@
 
 namespace vodcache::cache {
 
-// The trace-prebuilt access timeline.  In the serial engine it is built in
-// full, frozen, then shared read-only by all shards.  Under the job-graph
-// executor it is instead appended *chunk by chunk* by the prepass chain
-// while earlier entries are already being read by feed jobs on other
-// workers — which is why the storage is a StableVector (appends never move
-// existing elements) and why every scanning API takes an explicit `limit`:
-// a reader may only look at entries [0, limit) for a watermark `limit` it
-// learned through a graph edge (happens-before), and must never consult
-// size() while a writer is live.  kNoLimit means "no concurrent writer
-// exists; clamp to size()" — the serial path's contract.
+// The trace-prebuilt access timeline.  The job graph's prepass chain
+// appends it *chunk by chunk* while earlier entries may already be read by
+// feed jobs on other workers, then freezes it — which is why the storage
+// is a StableVector (appends never move existing elements) and why every
+// scanning API takes an explicit `limit`: a reader may only look at
+// entries [0, limit) for a watermark `limit` it learned through a graph
+// edge (happens-before), and must never consult size() while a writer is
+// live.  kNoLimit means "no concurrent writer exists; clamp to size()" —
+// the contract once the prepass is done (shard finish, standalone use).
 class ReplayBoard {
  public:
   struct Access {

@@ -70,6 +70,21 @@ struct ShadowCounters {
   std::uint64_t admission_denials = 0;
   double hit_bits = 0.0;
   double miss_bits = 0.0;
+
+  ShadowCounters& operator+=(const ShadowCounters& other) {
+    sessions += other.sessions;
+    segments += other.segments;
+    hits += other.hits;
+    cold_misses += other.cold_misses;
+    busy_misses += other.busy_misses;
+    evictions += other.evictions;
+    fills += other.fills;
+    admission_denials += other.admission_denials;
+    hit_bits += other.hit_bits;
+    miss_bits += other.miss_bits;
+    return *this;
+  }
+  bool operator==(const ShadowCounters&) const = default;
 };
 
 class ShadowBank {

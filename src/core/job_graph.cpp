@@ -37,12 +37,16 @@ void JobGraph::finalize() {
     child_offset_[n + 1] += child_offset_[n];
   }
   child_list_.resize(edges_.size());
-  // Fill per-parent runs back to front so child order ends up reversed per
-  // parent — order among a node's children is irrelevant to scheduling.
-  std::vector<std::uint32_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
+  // Fill per-parent runs back to front, so each parent lists its children
+  // in reverse insertion order.  A worker pushes ready children in list
+  // order and pops its own deque from the back, so it runs them in
+  // insertion order: one worker replays a demux node's feeds in shard
+  // order.  Child order never affects results, only the allocation
+  // pattern and cache locality.
+  std::vector<std::uint32_t> cursor(child_offset_.begin() + 1,
+                                    child_offset_.end());
   for (const auto& [parent, child] : edges_) {
-    child_list_[cursor[parent]++] = child;
+    child_list_[--cursor[parent]] = child;
   }
 
   // Kahn's algorithm: if a topological order does not cover every node,

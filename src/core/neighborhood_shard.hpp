@@ -119,13 +119,14 @@ class NeighborhoodShard {
   // events run out, exactly as the serial engine would have while other
   // neighborhoods were still active (pass a negative time when the trace
   // has no events at all).  It is a finish() argument rather than a
-  // constructor one because under the job-graph executor the shard is
-  // built before the streaming prepass has seen the whole trace.
+  // constructor one because the shard is built before the job graph's
+  // streaming prepass has seen the whole trace.
   void finish(sim::SimTime failure_flush);
 
   // How many ReplayBoard entries this shard's next feed() may scan (the
-  // prepass watermark its gating edge guarantees).  Serial callers never
-  // need this — the default sentinel reads the whole board.
+  // prepass watermark its gating edge guarantees).  Callers that replay
+  // against a finished board never need this — the default sentinel reads
+  // the whole board.
   void set_board_visible(std::size_t visible) { clock_.visible = visible; }
 
   [[nodiscard]] NeighborhoodId id() const { return server_.id(); }

@@ -64,21 +64,22 @@ std::string SimulationReport::to_string() const {
   if (!shadow_matrix.empty()) {
     out << "shadow matrix (" << shadow_matrix.size() << " pairs):\n";
     for (const auto& cell : shadow_matrix) {
+      const auto& c = cell.counters;
       out << "  " << cell.scorer << " x " << cell.admission
-          << ": hits=" << cell.hits << " cold=" << cell.cold_misses
-          << " busy=" << cell.busy_misses << " denials="
-          << cell.admission_denials << " hit_ratio=" << cell.hit_ratio()
-          << '\n';
+          << ": hits=" << c.hits << " cold=" << c.cold_misses
+          << " busy=" << c.busy_misses << " denials=" << c.admission_denials
+          << " hit_ratio=" << cell.hit_ratio() << '\n';
     }
   }
   if (policy_switching) {
     out << "policy switches (" << policy_switches.size() << "):\n";
     for (const auto& rec : policy_switches) {
+      const auto& e = rec.event;
       out << "  n" << rec.neighborhood << " @"
-          << rec.time.millis_count() / 3600000.0 << "h " << rec.from_scorer
-          << " x " << rec.from_admission << " -> " << rec.to_scorer << " x "
-          << rec.to_admission << " (window hits " << rec.window_primary_hits
-          << " -> " << rec.window_winner_hits << ")\n";
+          << e.time.millis_count() / 3600000.0 << "h " << e.from_scorer
+          << " x " << e.from_admission << " -> " << e.to_scorer << " x "
+          << e.to_admission << " (window hits " << e.window_primary_hits
+          << " -> " << e.window_winner_hits << ")\n";
     }
   }
   return out.str();

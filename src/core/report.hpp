@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/policy_switcher.hpp"
+#include "cache/shadow_bank.hpp"
 #include "core/config.hpp"
 #include "sim/peak_stats.hpp"
 #include "util/units.hpp"
@@ -59,46 +61,28 @@ struct TierUsageReport {
 struct ShadowCellReport {
   std::string scorer;
   std::string admission;
-  std::uint64_t sessions = 0;
-  std::uint64_t segments = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t cold_misses = 0;
-  std::uint64_t busy_misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t fills = 0;
-  std::uint64_t admission_denials = 0;
-  double hit_bits = 0.0;
-  double miss_bits = 0.0;
+  // Summed across neighborhoods in shard order.
+  cache::ShadowCounters counters;
 
   [[nodiscard]] double hit_ratio() const {
-    const std::uint64_t total = hits + cold_misses + busy_misses;
+    const std::uint64_t total =
+        counters.hits + counters.cold_misses + counters.busy_misses;
     return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
+                      : static_cast<double>(counters.hits) /
+                            static_cast<double>(total);
+  }
+  // Fraction of this pair's served bits that came from peers.
+  [[nodiscard]] double byte_hit_ratio() const {
+    const double total = counters.hit_bits + counters.miss_bits;
+    return total > 0.0 ? counters.hit_bits / total : 0.0;
   }
 };
 
-// One live policy promotion (SystemConfig::policy_switch): at `time`,
-// neighborhood `neighborhood` swapped its primary (from_*) for the shadow
-// cell (to_*) that had out-hit it for k consecutive windows.  The window_*
-// fields are the triggering window's hit counts; the cumulative snapshots
-// pin the warm-switch equivalence — post-switch primary counter deltas
-// equal a standalone run of the winning pair measured from the same marks
-// (tests/policy_switcher_test.cpp).
+// One live policy promotion (SystemConfig::policy_switch): neighborhood
+// `neighborhood` logged `event` (see cache::SwitchEvent for its fields).
 struct PolicySwitchRecord {
   std::uint32_t neighborhood = 0;
-  sim::SimTime time;
-  std::string from_scorer;
-  std::string from_admission;
-  std::string to_scorer;
-  std::string to_admission;
-  std::uint64_t window_primary_hits = 0;
-  std::uint64_t window_winner_hits = 0;
-  std::uint64_t primary_hits = 0;
-  std::uint64_t primary_cold_misses = 0;
-  std::uint64_t primary_busy_misses = 0;
-  std::uint64_t winner_hits = 0;
-  std::uint64_t winner_cold_misses = 0;
-  std::uint64_t winner_busy_misses = 0;
+  cache::SwitchEvent event;
 };
 
 struct SimulationReport {

@@ -92,18 +92,19 @@ void write_json(const SimulationReport& report, std::ostream& out,
     out << ",\"shadow_matrix\":[";
     for (std::size_t i = 0; i < report.shadow_matrix.size(); ++i) {
       const auto& cell = report.shadow_matrix[i];
+      const auto& c = cell.counters;
       out << (i ? "," : "") << "{\"scorer\":\"" << cell.scorer << "\","
           << "\"admission\":\"" << cell.admission << "\","
-          << "\"sessions\":" << cell.sessions << ","
-          << "\"segments\":" << cell.segments << ","
-          << "\"hits\":" << cell.hits << ","
-          << "\"cold_misses\":" << cell.cold_misses << ","
-          << "\"busy_misses\":" << cell.busy_misses << ","
-          << "\"evictions\":" << cell.evictions << ","
-          << "\"fills\":" << cell.fills << ","
-          << "\"admission_denials\":" << cell.admission_denials << ","
-          << "\"hit_bits\":" << cell.hit_bits << ","
-          << "\"miss_bits\":" << cell.miss_bits << ","
+          << "\"sessions\":" << c.sessions << ","
+          << "\"segments\":" << c.segments << ","
+          << "\"hits\":" << c.hits << ","
+          << "\"cold_misses\":" << c.cold_misses << ","
+          << "\"busy_misses\":" << c.busy_misses << ","
+          << "\"evictions\":" << c.evictions << ","
+          << "\"fills\":" << c.fills << ","
+          << "\"admission_denials\":" << c.admission_denials << ","
+          << "\"hit_bits\":" << c.hit_bits << ","
+          << "\"miss_bits\":" << c.miss_bits << ","
           << "\"hit_ratio\":" << cell.hit_ratio() << '}';
     }
     out << ']';
@@ -116,20 +117,21 @@ void write_json(const SimulationReport& report, std::ostream& out,
     out << ",\"policy_switches\":[";
     for (std::size_t i = 0; i < report.policy_switches.size(); ++i) {
       const auto& rec = report.policy_switches[i];
+      const auto& e = rec.event;
       out << (i ? "," : "") << "{\"neighborhood\":" << rec.neighborhood << ","
-          << "\"time_ms\":" << rec.time.millis_count() << ","
-          << "\"from_scorer\":\"" << rec.from_scorer << "\","
-          << "\"from_admission\":\"" << rec.from_admission << "\","
-          << "\"to_scorer\":\"" << rec.to_scorer << "\","
-          << "\"to_admission\":\"" << rec.to_admission << "\","
-          << "\"window_primary_hits\":" << rec.window_primary_hits << ","
-          << "\"window_winner_hits\":" << rec.window_winner_hits << ","
-          << "\"primary_hits\":" << rec.primary_hits << ","
-          << "\"primary_cold_misses\":" << rec.primary_cold_misses << ","
-          << "\"primary_busy_misses\":" << rec.primary_busy_misses << ","
-          << "\"winner_hits\":" << rec.winner_hits << ","
-          << "\"winner_cold_misses\":" << rec.winner_cold_misses << ","
-          << "\"winner_busy_misses\":" << rec.winner_busy_misses << '}';
+          << "\"time_ms\":" << e.time.millis_count() << ","
+          << "\"from_scorer\":\"" << e.from_scorer << "\","
+          << "\"from_admission\":\"" << e.from_admission << "\","
+          << "\"to_scorer\":\"" << e.to_scorer << "\","
+          << "\"to_admission\":\"" << e.to_admission << "\","
+          << "\"window_primary_hits\":" << e.window_primary_hits << ","
+          << "\"window_winner_hits\":" << e.window_winner_hits << ","
+          << "\"primary_hits\":" << e.primary_hits << ","
+          << "\"primary_cold_misses\":" << e.primary_cold_misses << ","
+          << "\"primary_busy_misses\":" << e.primary_busy_misses << ","
+          << "\"winner_hits\":" << e.winner_hits << ","
+          << "\"winner_cold_misses\":" << e.winner_cold_misses << ","
+          << "\"winner_busy_misses\":" << e.winner_busy_misses << '}';
     }
     out << ']';
   }

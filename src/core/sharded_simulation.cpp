@@ -60,6 +60,10 @@ ShardedSimulation::PrepassNeeds ShardedSimulation::needs() const {
 }
 
 void ShardedSimulation::allocate_prepass_outputs(const PrepassNeeds& need) {
+  // GlobalLFU: popularity is only ever recorded at session starts, which
+  // come straight from the sorted stream — so the whole system-wide access
+  // timeline is known before the replay.  The prepass builds it once;
+  // shards read it through private cursors without synchronization.
   if (need.board) {
     board_ = std::make_shared<cache::ReplayBoard>(
         source_->catalog().size(), config_.strategy.lfu_history,
@@ -73,62 +77,6 @@ void ShardedSimulation::allocate_prepass_outputs(const PrepassNeeds& need) {
     for (auto& index : future_) {
       index = cache::FutureIndex(source_->catalog().size());
     }
-  }
-}
-
-void ShardedSimulation::prepass() {
-  const PrepassNeeds need = needs();
-  if (!need.any()) return;
-
-  // GlobalLFU: popularity is only ever recorded at session starts, which
-  // come straight from the sorted stream — so the whole system-wide access
-  // timeline is known before the run.  Prebuild it once; shards read it
-  // through private cursors without synchronization.
-  allocate_prepass_outputs(need);
-
-  // Failure flush: the time of the last event the serial engine would
-  // process — the latest segment-boundary event across all sessions (a
-  // session's boundaries fall at start + k * segment for every k with
-  // k * segment < duration).  Failure waves up to this time are applied
-  // system-wide even in neighborhoods whose own events end earlier; later
-  // waves never fire.  Stays negative when the trace is empty, so nothing
-  // flushes.
-  const auto segment_ms = config_.segment_duration.millis_count();
-
-  std::unique_ptr<TierPlanBuilder> plan_builder;
-  if (need.tiers) {
-    plan_builder = std::make_unique<TierPlanBuilder>(topology_, config_,
-                                                     source_->catalog());
-  }
-
-  auto stream = source_->open();
-  trace::SessionRecord record;
-  while (stream->next(record)) {
-    if (need.board) board_->add(record.program, record.start);
-    if (need.future || need.tiers) {
-      const auto neighborhood = topology_.neighborhood_of(record.user);
-      if (need.future) {
-        future_[neighborhood.value()].add(record.program, record.start);
-      }
-      if (need.tiers) {
-        plan_builder->observe(neighborhood, record.program, record.start);
-      }
-    }
-    if (need.flush) {
-      const auto duration_ms = record.duration.millis_count();
-      const auto full_boundaries =
-          duration_ms > 0 ? (duration_ms - 1) / segment_ms : 0;
-      failure_flush_ =
-          std::max(failure_flush_,
-                   record.start +
-                       sim::SimTime::millis(full_boundaries * segment_ms));
-    }
-  }
-
-  if (need.board) board_->freeze();
-  for (auto& index : future_) index.freeze();
-  if (plan_builder) {
-    tiers_->set_plans(plan_builder->finish(source_->horizon()));
   }
 }
 
@@ -169,53 +117,6 @@ void ShardedSimulation::build_shards() {
   }
 }
 
-void ShardedSimulation::stream_shards() {
-  const auto chunk_ms = config_.stream_chunk.millis_count();
-  const auto user_count = topology_.user_count();
-  const auto catalog_size = source_->catalog().size();
-  const auto shard_count = shards_.size();
-
-  // Per-shard batch buffers, reused across chunks (clear keeps capacity),
-  // plus the list of shards the current chunk actually touches.
-  std::vector<std::vector<NeighborhoodShard::StreamSession>> batches(
-      shard_count);
-  std::vector<std::uint32_t> active;
-
-  auto stream = source_->open();
-  trace::SessionRecord record;
-  bool more = stream->next(record);
-  std::uint64_t index = 0;
-  sim::SimTime prev;  // 0: sources must not emit negative starts
-
-  while (more) {
-    // The chunk containing the next session (empty stretches are skipped
-    // outright — chunk edges are fixed multiples of stream_chunk, so which
-    // chunks exist never depends on how the workload is paced).
-    const auto chunk_end = sim::SimTime::millis(
-        (record.start.millis_count() / chunk_ms + 1) * chunk_ms);
-    while (more && record.start < chunk_end) {
-      // The sorted/ranged contract every source carries; cheap enough to
-      // hold even external sources to it record by record.
-      VODCACHE_EXPECTS(record.start >= prev);
-      VODCACHE_EXPECTS(record.user.value() < user_count);
-      VODCACHE_EXPECTS(record.program.value() < catalog_size);
-      prev = record.start;
-      const auto n = topology_.neighborhood_of(record.user).value();
-      if (batches[n].empty()) active.push_back(n);
-      batches[n].push_back({record, index, topology_.peer_of(record.user)});
-      ++index;
-      more = stream->next(record);
-    }
-
-    for (const auto n : active) shards_[n]->feed(batches[n]);
-    for (const auto n : active) batches[n].clear();
-    active.clear();
-  }
-
-  // Drain every shard's boundary queue and flush trailing failure waves.
-  for (const auto& shard : shards_) shard->finish(failure_flush_);
-}
-
 void ShardedSimulation::run_graph(const PrepassNeeds& need,
                                   MediaServer& media) {
   const auto shard_count = shards_.size();
@@ -241,12 +142,17 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
     return static_cast<std::int64_t>(k + 1) * chunk_ms;
   };
 
+  JobExecutor executor(config_.threads);
+
   // Batch ring: demux[k] fills slot k % W, every feed[s][k] reads from it,
   // and demux[k + W] may only overwrite it once all of chunk k's feeds are
   // done — the edges below say exactly that, bounding live batch memory to
-  // W chunks however far the pipeline runs ahead.
+  // W chunks however far the pipeline runs ahead.  W never exceeds the
+  // worker count: one worker drains each chunk's feeds before the next
+  // demux anyway, so slots beyond one per worker would only hold memory.
   constexpr std::size_t kRingWindow = 4;
-  const std::size_t window = std::min(kRingWindow, chunks);
+  const std::size_t window = std::min(
+      {kRingWindow, static_cast<std::size_t>(executor.worker_count()), chunks});
   std::vector<std::vector<std::vector<NeighborhoodShard::StreamSession>>>
       batches(window,
               std::vector<std::vector<NeighborhoodShard::StreamSession>>(
@@ -309,6 +215,12 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
                                         pre_record.start);
                 }
               }
+              // Failure flush: the time of the last event anywhere — the
+              // latest segment boundary across all sessions (a session's
+              // boundaries fall at start + k * segment for every k with
+              // k * segment < duration).  Waves up to this time wipe every
+              // neighborhood, even one whose own events end earlier; later
+              // waves never fire.  Stays negative on an empty trace.
               if (need.flush) {
                 const auto duration_ms = pre_record.duration.millis_count();
                 const auto full_boundaries =
@@ -374,17 +286,21 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
 
   // Feed nodes: shard s replays its slice of chunk k.  feed[s][k-1] ->
   // feed[s][k] keeps each shard's mutable state owned by one task at a
-  // time; which worker runs it is free.
+  // time; which worker runs it is free.  Each node captures only `feed`
+  // and two 32-bit indices, so its closure fits std::function's inline
+  // buffer: the graph allocates no heap block per (shard x chunk).
+  const auto feed = [this, &need, &batches, &watermark, window](
+                        std::uint32_t s, std::uint32_t k) {
+    if (need.board) shards_[s]->set_board_visible(watermark[k]);
+    shards_[s]->feed(batches[k % window][s]);
+  };
   std::vector<std::vector<JobId>> feed_id(
       shard_count, std::vector<JobId>(chunks));
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    for (std::size_t k = 0; k < chunks; ++k) {
-      feed_id[s][k] = graph.add(
-          [this, &need, &batches, &watermark, window, s, k] {
-            if (need.board) shards_[s]->set_board_visible(watermark[k]);
-            shards_[s]->feed(batches[k % window][s]);
-          },
-          "feed#" + std::to_string(s) + "." + std::to_string(k));
+  for (std::uint32_t s = 0; s < shard_count; ++s) {
+    for (std::uint32_t k = 0; k < chunks; ++k) {
+      feed_id[s][k] = graph.add([&feed, s, k] { feed(s, k); },
+                                "feed#" + std::to_string(s) + "." +
+                                    std::to_string(k));
       graph.depend(demux_id[k], feed_id[s][k]);
       if (k > 0) graph.depend(feed_id[s][k - 1], feed_id[s][k]);
       if (need.board) graph.depend(prepass_id[k], feed_id[s][k]);
@@ -427,7 +343,6 @@ void ShardedSimulation::run_graph(const PrepassNeeds& need,
       "merge");
   for (const JobId fin : finish_id) graph.depend(fin, merge);
 
-  JobExecutor executor(config_.threads);
   executor_stats_ = executor.run(graph);
 }
 
@@ -435,19 +350,11 @@ SimulationReport ShardedSimulation::run() {
   VODCACHE_EXPECTS(!ran_);
   ran_ = true;
 
+  const PrepassNeeds need = needs();
+  allocate_prepass_outputs(need);
+  build_shards();
   MediaServer media(source_->horizon(), config_.meter_bucket);
-  if (config_.threads <= 1) {
-    // Serial path: prepass, shards, inline chunk loop, fixed-order merge.
-    prepass();
-    build_shards();
-    stream_shards();
-    for (const auto& shard : shards_) media.merge(shard->media_server());
-  } else {
-    const PrepassNeeds need = needs();
-    allocate_prepass_outputs(need);
-    build_shards();
-    run_graph(need, media);
-  }
+  run_graph(need, media);
   return build_report(media);
 }
 
@@ -550,18 +457,7 @@ SimulationReport ShardedSimulation::build_report(
       VODCACHE_ASSERT(bank != nullptr &&
                       bank->pair_count() == report.shadow_matrix.size());
       for (std::size_t p = 0; p < bank->pair_count(); ++p) {
-        const auto& c = bank->counters(p);
-        auto& cell = report.shadow_matrix[p];
-        cell.sessions += c.sessions;
-        cell.segments += c.segments;
-        cell.hits += c.hits;
-        cell.cold_misses += c.cold_misses;
-        cell.busy_misses += c.busy_misses;
-        cell.evictions += c.evictions;
-        cell.fills += c.fills;
-        cell.admission_denials += c.admission_denials;
-        cell.hit_bits += c.hit_bits;
-        cell.miss_bits += c.miss_bits;
+        report.shadow_matrix[p].counters += bank->counters(p);
       }
     }
   }
@@ -575,22 +471,7 @@ SimulationReport ShardedSimulation::build_report(
     report.policy_switching = true;
     for (const auto& shard : shards_) {
       for (const cache::SwitchEvent& event : shard->switch_log()) {
-        PolicySwitchRecord rec;
-        rec.neighborhood = shard->id().value();
-        rec.time = event.time;
-        rec.from_scorer = event.from_scorer;
-        rec.from_admission = event.from_admission;
-        rec.to_scorer = event.to_scorer;
-        rec.to_admission = event.to_admission;
-        rec.window_primary_hits = event.window_primary_hits;
-        rec.window_winner_hits = event.window_winner_hits;
-        rec.primary_hits = event.primary_hits;
-        rec.primary_cold_misses = event.primary_cold_misses;
-        rec.primary_busy_misses = event.primary_busy_misses;
-        rec.winner_hits = event.winner_hits;
-        rec.winner_cold_misses = event.winner_cold_misses;
-        rec.winner_busy_misses = event.winner_busy_misses;
-        report.policy_switches.push_back(std::move(rec));
+        report.policy_switches.push_back({shard->id().value(), event});
       }
     }
   }

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc_audit_support.hpp"
@@ -261,15 +262,16 @@ TEST_P(RandomConfig, ConservationInvariantsHoldOnEveryReport) {
     EXPECT_TRUE(report.policy_switching);
     for (const auto& rec : report.policy_switches) {
       ASSERT_LT(rec.neighborhood, report.neighborhoods.size());
+      const auto& e = rec.event;
       // The triggering window was a *strict* win.
-      EXPECT_GT(rec.window_winner_hits, rec.window_primary_hits);
+      EXPECT_GT(e.window_winner_hits, e.window_primary_hits);
       // At-switch snapshots are cumulative prefixes of the final counters.
       const auto& n = report.neighborhoods[rec.neighborhood];
-      EXPECT_LE(rec.primary_hits, n.hits);
-      EXPECT_LE(rec.primary_cold_misses, n.cold_misses);
-      EXPECT_LE(rec.primary_busy_misses, n.busy_misses);
-      EXPECT_FALSE(rec.from_scorer.empty());
-      EXPECT_FALSE(rec.to_scorer.empty());
+      EXPECT_LE(e.primary_hits, n.hits);
+      EXPECT_LE(e.primary_cold_misses, n.cold_misses);
+      EXPECT_LE(e.primary_busy_misses, n.busy_misses);
+      EXPECT_FALSE(std::string_view(e.from_scorer).empty());
+      EXPECT_FALSE(std::string_view(e.to_scorer).empty());
     }
   } else {
     EXPECT_FALSE(report.policy_switching);
@@ -277,19 +279,18 @@ TEST_P(RandomConfig, ConservationInvariantsHoldOnEveryReport) {
   }
   for (const auto& cell : report.shadow_matrix) {
     const std::string label = cell.scorer + " x " + cell.admission;
+    const auto& c = cell.counters;
     // Shadows replay the same session stream: the flow totals are the
     // primary's, only the hit/miss/denial split may differ.
-    EXPECT_EQ(cell.sessions, report.sessions) << label;
-    EXPECT_EQ(cell.segments, report.segments) << label;
-    EXPECT_EQ(cell.segments,
-              cell.hits + cell.cold_misses + cell.busy_misses)
-        << label;
-    EXPECT_LE(cell.admission_denials, cell.sessions) << label;
+    EXPECT_EQ(c.sessions, report.sessions) << label;
+    EXPECT_EQ(c.segments, report.segments) << label;
+    EXPECT_EQ(c.segments, c.hits + c.cold_misses + c.busy_misses) << label;
+    EXPECT_LE(c.admission_denials, c.sessions) << label;
     if (cell.admission == "always") {
-      EXPECT_EQ(cell.admission_denials, 0u) << label;
+      EXPECT_EQ(c.admission_denials, 0u) << label;
     }
-    EXPECT_GE(cell.hit_bits, 0.0) << label;
-    EXPECT_GE(cell.miss_bits, 0.0) << label;
+    EXPECT_GE(c.hit_bits, 0.0) << label;
+    EXPECT_GE(c.miss_bits, 0.0) << label;
     EXPECT_GE(cell.hit_ratio(), 0.0) << label;
     EXPECT_LE(cell.hit_ratio(), 1.0) << label;
   }

@@ -164,5 +164,51 @@ TEST_P(TieredIdentity, TieredReportBytesArePinned) {
       << "actual hash 0x" << std::hex << report_hash(config);
 }
 
+// Shadow-matrix and switch-log pins: both serializations of the two
+// report sections that are assembled from the cache layer's counter
+// structs.  Same trace and base config as above; same regeneration rule.
+struct SectionHashes {
+  std::uint64_t json;
+  std::uint64_t text;
+};
+
+SectionHashes section_hashes(const SimulationReport& report) {
+  return {fnv1a(to_json(report, /*include_neighborhoods=*/true)),
+          fnv1a(report.to_string())};
+}
+
+TEST(ReportSectionIdentity, ShadowMatrixBytesArePinned) {
+  auto config = pinned_config(StrategyKind::Lfu);
+  config.shadow_matrix = true;
+  VodSystem system(pinned_trace(), config);
+  const auto report = system.run();
+  ASSERT_FALSE(report.shadow_matrix.empty());
+  const auto hashes = section_hashes(report);
+  EXPECT_EQ(hashes.json, 0x0A329FE07657D688ULL)
+      << "actual hash 0x" << std::hex << hashes.json;
+  EXPECT_EQ(hashes.text, 0xAB8EC365E523580DULL)
+      << "actual hash 0x" << std::hex << hashes.text;
+}
+
+TEST(ReportSectionIdentity, PolicySwitchLogBytesArePinned) {
+  auto config = pinned_config(StrategyKind::Lru);
+  // Tight coax and a headroom gate give the cells something to out-hit
+  // the primary with, so the pinned log has real entries.
+  config.coax.downstream_low = DataRate::megabits_per_second(60);
+  config.coax.tv_broadcast = DataRate::megabits_per_second(3);
+  config.admission_policy.headroom_fraction = 0.3;
+  config.policy_switch = true;
+  config.switch_window = sim::SimTime::hours(3);
+  config.switch_windows_k = 2;
+  VodSystem system(pinned_trace(), config);
+  const auto report = system.run();
+  ASSERT_FALSE(report.policy_switches.empty());
+  const auto hashes = section_hashes(report);
+  EXPECT_EQ(hashes.json, 0xAA8A40B10FDBF1FFULL)
+      << "actual hash 0x" << std::hex << hashes.json;
+  EXPECT_EQ(hashes.text, 0x002075BC49F142DCULL)
+      << "actual hash 0x" << std::hex << hashes.text;
+}
+
 }  // namespace
 }  // namespace vodcache::core

@@ -146,11 +146,12 @@ TEST(PolicySwitcher, WarmSwitchReplaysStandaloneContinuation) {
     if (switches_per_neighborhood[rec.neighborhood] != 1) continue;
     ASSERT_LT(rec.neighborhood, switched.neighborhoods.size());
     const auto& after = switched.neighborhoods[rec.neighborhood];
+    const auto& e = rec.event;
 
     auto standalone_config = switch_config();
     standalone_config.policy_switch = false;
-    standalone_config.strategy.kind = scorer_kind(rec.to_scorer);
-    standalone_config.admission_policy.kind = admission_kind(rec.to_admission);
+    standalone_config.strategy.kind = scorer_kind(e.to_scorer);
+    standalone_config.admission_policy.kind = admission_kind(e.to_admission);
     VodSystem standalone_system(trace, standalone_config);
     const auto standalone = standalone_system.run();
     ASSERT_LT(rec.neighborhood, standalone.neighborhoods.size());
@@ -159,16 +160,16 @@ TEST(PolicySwitcher, WarmSwitchReplaysStandaloneContinuation) {
     std::string label = "n";
     label += std::to_string(rec.neighborhood);
     label += " -> ";
-    label += rec.to_scorer;
+    label += e.to_scorer;
     label += " x ";
-    label += rec.to_admission;
-    EXPECT_EQ(after.hits - rec.primary_hits, alone.hits - rec.winner_hits)
+    label += e.to_admission;
+    EXPECT_EQ(after.hits - e.primary_hits, alone.hits - e.winner_hits)
         << label;
-    EXPECT_EQ(after.cold_misses - rec.primary_cold_misses,
-              alone.cold_misses - rec.winner_cold_misses)
+    EXPECT_EQ(after.cold_misses - e.primary_cold_misses,
+              alone.cold_misses - e.winner_cold_misses)
         << label;
-    EXPECT_EQ(after.busy_misses - rec.primary_busy_misses,
-              alone.busy_misses - rec.winner_busy_misses)
+    EXPECT_EQ(after.busy_misses - e.primary_busy_misses,
+              alone.busy_misses - e.winner_busy_misses)
         << label;
     ++verified;
   }

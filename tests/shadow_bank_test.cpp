@@ -93,6 +93,17 @@ const CellVariant kCellVariants[] = {
      }},
 };
 
+// The report's cross-shard merge is ShadowCounters::operator+=: it must
+// add every field, integer and byte counters alike.
+TEST(ShadowCounters, PlusEqualsAddsEveryField) {
+  cache::ShadowCounters sum{1, 2, 3, 4, 5, 6, 7, 8, 9.5, 10.5};
+  sum += cache::ShadowCounters{10, 20, 30, 40, 50, 60, 70, 80, 90.0, 100.0};
+  const cache::ShadowCounters expected{11, 22, 33, 44, 55,
+                                       66, 77, 88, 99.5, 110.5};
+  EXPECT_EQ(sum, expected);
+  EXPECT_FALSE(sum == cache::ShadowCounters{});
+}
+
 // Every (scorer x admission) cell of one shadow pass must reproduce the
 // counters of a standalone run of that pair — the registry sweep the
 // single pass replaces — in every configuration of kCellVariants.
@@ -128,14 +139,15 @@ TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
 
         const std::string label =
             std::string(scorer.display) + " x " + admission.display;
-        EXPECT_EQ(cell->sessions, real.sessions) << label;
-        EXPECT_EQ(cell->segments, real.segments) << label;
-        EXPECT_EQ(cell->hits, real.hits) << label;
-        EXPECT_EQ(cell->cold_misses, real.cold_misses) << label;
-        EXPECT_EQ(cell->busy_misses, real.busy_misses) << label;
-        EXPECT_EQ(cell->evictions, real.evictions) << label;
-        EXPECT_EQ(cell->fills, real.fills) << label;
-        EXPECT_EQ(cell->admission_denials, real.admission_denials) << label;
+        const auto& c = cell->counters;
+        EXPECT_EQ(c.sessions, real.sessions) << label;
+        EXPECT_EQ(c.segments, real.segments) << label;
+        EXPECT_EQ(c.hits, real.hits) << label;
+        EXPECT_EQ(c.cold_misses, real.cold_misses) << label;
+        EXPECT_EQ(c.busy_misses, real.busy_misses) << label;
+        EXPECT_EQ(c.evictions, real.evictions) << label;
+        EXPECT_EQ(c.fills, real.fills) << label;
+        EXPECT_EQ(c.admission_denials, real.admission_denials) << label;
       }
     }
 
@@ -146,11 +158,11 @@ TEST(ShadowBank, EveryCellMatchesItsStandaloneRun) {
     const auto* gated = find_cell(shadow_report, "LRU", "second-hit");
     ASSERT_NE(always, nullptr);
     ASSERT_NE(gated, nullptr);
-    EXPECT_NE(always->fills, gated->fills);
-    EXPECT_GT(gated->admission_denials, 0u);
+    EXPECT_NE(always->counters.fills, gated->counters.fills);
+    EXPECT_GT(gated->counters.admission_denials, 0u);
     // Serving must be exercised wherever the limit allows it.
     if (config.peer_stream_limit > 0) {
-      EXPECT_GT(always->hits, 0u);
+      EXPECT_GT(always->counters.hits, 0u);
     }
   }
 }

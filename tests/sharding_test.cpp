@@ -145,6 +145,35 @@ TEST(ThreadCountInvarianceExtras, FailureWavesAcrossShards) {
   EXPECT_EQ(serial, run_json(sharding_trace(), config, 8));
 }
 
+// One worker runs the same job graph as many: every node executes inline
+// on the caller, so the scheduling stats are filled, not left zero.  The
+// expected node count spells out the graph's shape — per chunk a demux
+// node and one feed per shard, per shard a finish, one merge sink, plus
+// the prepass chain (one node per chunk and a done node) when the
+// strategy needs whole-trace knowledge.
+TEST(ExecutorStatsAtOneThread, EveryGraphNodeRunsOnTheCaller) {
+  for (const auto kind : {StrategyKind::Lfu, StrategyKind::GlobalLfu}) {
+    auto config = sharding_config(kind);
+    config.threads = 1;
+    VodSystem system(sharding_trace(), config);
+    (void)system.run();
+    const ExecutorStats& stats = system.executor_stats();
+
+    const auto chunks = static_cast<std::uint64_t>(
+        sharding_trace().horizon().millis_count() /
+            config.stream_chunk.millis_count() +
+        1);
+    const std::uint64_t shards = system.topology().neighborhood_count();
+    std::uint64_t nodes = chunks + shards * chunks + shards + 1;
+    if (kind == StrategyKind::GlobalLfu) nodes += chunks + 1;
+
+    EXPECT_GT(stats.executed, 0u);
+    EXPECT_EQ(stats.executed + stats.cancelled, nodes);
+    EXPECT_EQ(stats.worker_busy_ms.size(), 1u);
+    EXPECT_EQ(stats.steals, 0u);
+  }
+}
+
 // A failure wave after one neighborhood's last session but before another
 // neighborhood's: the serial engine still wipes the idle neighborhood
 // (some event system-wide is at or after the wave), so the shard must
