@@ -136,17 +136,14 @@ int main() {
   std::vector<ScenarioResult> results;
   for (const auto& file : files) {
     ScenarioResult result;
-    result.spec = scenario::load_scenario_file(file);
-
     core::SystemConfig base;
     base.strategy.kind = core::StrategyKind::Lfu;
-    scenario::apply_system(result.spec, base);
+    result.spec = scenario::load_scenario_file(file, base);
     base.shadow_matrix = true;
 
     // Materialize the scenario once (these are bench-sized workloads);
     // the streamed twin is pinned byte-identical in tests/scenario_test.
-    const scenario::ScenarioWorkload workload(result.spec,
-                                              base.neighborhood_size);
+    const scenario::ScenarioWorkload workload(result.spec, base);
     const auto trace = trace::materialize(workload.source());
 
     const auto demand = analysis::demand_peak(trace, base.stream_rate,

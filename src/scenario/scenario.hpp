@@ -18,14 +18,10 @@
 //   * failure storms — repeated peer-wipe waves on a schedule.
 //
 // File format: line-oriented `key = value` under `[section]` headers.
-// '#' lines are comments.  Sections and keys are strict: an unknown
-// section or key, a malformed value, or a duplicate key is a parse error
-// (std::runtime_error with the line number), never a silent default.
-// Numbers go through util::parse_strict — trailing garbage and overflow
-// are errors too.  The recognized sections live in section_registry(),
-// the single source of truth behind the parser's dispatch, its error
-// messages, and the CLI's --list-scenarios table (mirroring how
-// core::PolicyRegistry anchors --list-strategies).
+// '#' lines are comments.  An unknown section or key, a malformed or
+// out-of-range value, or a duplicate key is a parse error with the line
+// number, never a silent default.  Sections and keys live in the option
+// table (scenario/options.hpp), shared with the CLI flags.
 //
 // Everything stays streaming: adaptors are single-pass
 // trace::SessionSource wrappers that draw their RNG in input order, so a
@@ -37,13 +33,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
+#include "scenario/options.hpp"
 #include "sim/time.hpp"
 #include "trace/generator.hpp"
 #include "trace/session_source.hpp"
@@ -107,26 +101,6 @@ struct FailureStormSpec {
   std::uint64_t seed = 0xFA11;
 };
 
-// [tiers]: stack a regional-hub cache tier between the neighborhoods and
-// the origin (SystemConfig::tiers + prefetch).  `hub_fan_in` neighborhoods
-// share one hub node of `hub_capacity_gb`; `prefetch` names a
-// core::PolicyRegistry prior-storing policy whose plans rotate every
-// `refresh_hours`, pulling at most hub_link_gbps x refresh of new content
-// per rotation (0 = unconstrained).  An optional outage window takes the
-// whole tier offline.  Costs feed the report's cost-vs-hit-rate frontier.
-struct TiersSpec {
-  bool enabled = false;
-  std::uint32_t hub_fan_in = 8;
-  std::int64_t hub_capacity_gb = 0;  // 0: the hub stores nothing
-  double hub_link_gbps = 0.0;        // 0: unconstrained rotation budget
-  double hub_cost_per_gb = 0.01;
-  double origin_cost_per_gb = 0.05;
-  std::string prefetch = "top-popular";
-  std::int64_t refresh_hours = 24;
-  std::int64_t outage_start_hour = -1;  // < 0: no outage
-  std::int64_t outage_hours = 0;
-};
-
 struct ScenarioSpec {
   std::string name;     // file stem (or caller-provided hint)
   std::string summary;  // [scenario] summary = ...
@@ -134,72 +108,52 @@ struct ScenarioSpec {
   // [workload] + [popularity] overrides applied onto the defaults.
   trace::GeneratorConfig workload;
 
-  // [system] overrides; unset fields leave the caller's config alone.
-  std::optional<std::uint32_t> neighborhood_size;
-  std::optional<std::int64_t> per_peer_gb;
-  std::optional<std::int64_t> warmup_days;
-  std::optional<bool> policy_switch;
-  std::optional<std::int64_t> switch_window_hours;
-  std::optional<std::int64_t> switch_windows_k;
-
   FlashCrowdSpec flash_crowd;
   ReleaseWavesSpec release_waves;
   NeighborhoodSkewSpec skew;
   FailureStormSpec storm;
-  TiersSpec tiers;
 
-  // Cross-field validation against the *final* workload (the CLI may
-  // override days/users/programs after loading the file): windows inside
-  // the horizon, ranks inside the catalog, fractions in range.  Throws
-  // std::runtime_error — scenario data is untrusted input, not a
-  // programming error.
-  void validate() const;
+  // Cross-field validation against the *final* workload and system (the
+  // CLI may override days/users/programs or the topology after loading
+  // the file): check_options(), windows and hub outages inside the
+  // horizon, ranks inside the catalog.  Throws std::runtime_error —
+  // scenario data is untrusted input, not a programming error.
+  void validate(const core::SystemConfig& system) const;
 };
-
-// One recognized section of the file format: its header spelling, a
-// one-line summary, and its key list (documentation + --list-scenarios).
-struct SectionEntry {
-  const char* key;
-  const char* summary;
-  const char* keys;
-};
-
-[[nodiscard]] std::span<const SectionEntry> section_registry();
-[[nodiscard]] const SectionEntry* find_section(std::string_view key);
-// "scenario|workload|..." — for error messages, derived so they cannot
-// drift from the registry.
-[[nodiscard]] std::string section_keys();
 
 // Parses a scenario from a stream / file.  Throws std::runtime_error with
-// a line number on any malformed input.  `base` seeds the workload the
-// file's [workload]/[popularity] keys override — pass the surrounding
-// configuration (e.g. the CLI's current --days/--users state) so a file
-// that omits a key inherits the caller's value instead of silently
-// resetting it to the generator default.
+// a line number on any malformed input.  Keys go through the option table
+// and override the caller's values: `base` seeds the returned workload,
+// and [system]/[tiers] keys write into `system` (only on success), so an
+// omitted key keeps an earlier --days or --hub-* flag.  A [tiers] section
+// configures `system`'s one hub tier, creating it if needed, and a
+// [failure_storm] section appends its waves to `system.peer_failures`.
 [[nodiscard]] ScenarioSpec parse_scenario(
-    std::istream& in, std::string name,
+    std::istream& in, std::string name, core::SystemConfig& system,
     const trace::GeneratorConfig& base = trace::GeneratorConfig{});
 [[nodiscard]] ScenarioSpec load_scenario_file(
-    const std::string& path,
+    const std::string& path, core::SystemConfig& system,
     const trace::GeneratorConfig& base = trace::GeneratorConfig{});
 
-// Applies the spec's system-side effects onto `config`: topology/warmup
-// overrides and the failure-storm schedule (appended to peer_failures).
-void apply_system(const ScenarioSpec& spec, core::SystemConfig& config);
+// Expands a failure storm into `config.peer_failures`: wave k at
+// start + k * period with seed `seed + k`.
+void apply_storm(const FailureStormSpec& storm, core::SystemConfig& config);
 
-// Validates the spec and stacks its enabled adaptors (skew, then release
-// waves, then flash crowd — so the spike wins over background churn) onto
-// `parts.back()`; every new link is appended so the caller keeps the whole
-// chain alive.  `neighborhood_size` must be the value the simulation will
-// actually run with (the skew adaptor replays the topology's placement).
+// Validates the spec against `system` and stacks its enabled adaptors
+// (skew, then release waves, then flash crowd — so the spike wins over
+// background churn) onto `parts.back()`; every new link is appended so the
+// caller keeps the whole chain alive.  `system` must be the configuration
+// the simulation will actually run with (the skew adaptor replays the
+// topology's placement).
 void stack_adaptors(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
-                    const ScenarioSpec& spec, std::uint32_t neighborhood_size);
+                    const ScenarioSpec& spec,
+                    const core::SystemConfig& system);
 
 // Convenience owner for tests and benches: generator + adaptors in one
 // object.  `source()` is the composed workload.
 class ScenarioWorkload {
  public:
-  ScenarioWorkload(const ScenarioSpec& spec, std::uint32_t neighborhood_size);
+  ScenarioWorkload(const ScenarioSpec& spec, const core::SystemConfig& system);
 
   [[nodiscard]] const trace::SessionSource& source() const {
     return *parts_.back();

@@ -1,7 +1,7 @@
 // Strict whole-string numeric parsing.
 //
 // One shared implementation for every place that turns untrusted text into a
-// number (CLI options, example arguments): the entire input must parse, the
+// number (the option table, example arguments): the entire input must parse, the
 // value must fit the destination type, and floating-point results must be
 // finite.  Callers decide how to report failure.
 #pragma once
@@ -14,17 +14,6 @@
 #include <type_traits>
 
 namespace vodcache::util {
-
-// Shared option bounds for every user-facing configuration surface (CLI
-// flags and scenario files): generous enough for any realistic
-// deployment, tight enough that downstream millisecond/bit conversions
-// cannot overflow int64.  One definition so the surfaces cannot drift —
-// a days value the scenario format accepts is a days value --days
-// accepts.
-inline constexpr std::int64_t kMaxDays = 100'000;  // ~270 years
-inline constexpr std::int64_t kMaxHours = kMaxDays * 24;
-inline constexpr std::int64_t kMaxIdCount = 0xFFFFFFFF;  // uint32 ids
-inline constexpr std::int64_t kMaxGigabytes = 1'000'000'000;  // 1 exabyte
 
 // Parses all of `text` as a T.  Returns nullopt on empty input, trailing
 // garbage, overflow (from_chars reports result_out_of_range), or — for

@@ -10,11 +10,12 @@ when a PR makes the engine faster, never to make a regression pass.
 Two file shapes are understood, keyed off their contents:
 
 * BENCH_scaling.json — a runs[] array.  Two rows are ratcheted:
-  threads=1 measures the serial hot path itself, and threads=8 measures
-  the job-graph executor end to end (graph build, steal traffic, chunk
-  hand-off) — a scheduler regression shows up there while leaving the
-  single-thread row untouched.  The in-between rows fold in core-count
-  noise on small runners, so they are printed for context but only warn.
+  threads=1 measures the one-worker job-graph path (the hot path, run
+  inline with no stealing), and threads=8 measures the executor end to
+  end (graph build, steal traffic, chunk hand-off) — a scheduler
+  regression shows up there while leaving the single-thread row
+  untouched.  The in-between rows fold in core-count noise on small
+  runners, so they are printed for context but only warn.
 
 * BENCH_policies.json — a single shadow_sessions_per_sec rate: the
   session throughput of the pass that carries every (scorer x admission)
