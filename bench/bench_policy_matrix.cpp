@@ -99,8 +99,10 @@ const core::ShadowCellReport& find_cell(const core::SimulationReport& report,
 // Re-runs one (scorer x admission) cell standalone — shadows off, that
 // pair primary — and asserts the shadow cell predicted its counters
 // exactly.  This is the whole shadow-matrix correctness claim at bench
-// scale; any drift between IndexServer and ShadowBank replay logic fails
-// here loudly.
+// scale: the primary and the shadows run the same cache::CacheCell code,
+// so a mismatch means the state they share (ledger, viewer occupancy,
+// coax meter) reached a shadow differently than it reaches a standalone
+// primary.
 bool crosscheck_cell(const trace::Trace& trace, core::SystemConfig config,
                      core::StrategyKind scorer_kind,
                      core::AdmissionKind admission_kind,

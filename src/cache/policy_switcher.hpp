@@ -1,11 +1,11 @@
-// PolicySwitcher: closes the shadow-matrix loop.  The ShadowBank already
-// bookkeeps every registered (scorer x admission) pair against the live
-// session stream with exact standalone-counter equivalence; this class
-// watches those counters per window and decides when a neighborhood should
-// *switch* its primary policy to a cell that has been beating it — the
-// warm-switch mechanics (swapping the cell's private SegmentStore, stream
-// slots, and policy state into the primary) are the shard's job, this
-// class only decides and records.
+// PolicySwitcher: closes the shadow-matrix loop.  The ShadowBank replays
+// every registered (scorer x admission) pair as a cache::CacheCell — the
+// type the primary runs too — against the live session stream; this class
+// watches the cells' counters per window and decides when a neighborhood
+// should *switch* its primary policy to a cell that has been beating it.
+// The warm switch itself (one std::swap of the primary's cell with the
+// winner, counters staying with their side) is the shard's job; this class
+// only decides and records.
 //
 // Determinism: a switch decision is a pure function of the event stream.
 // Windows rotate at event times only (the first event at or past the
@@ -35,7 +35,7 @@ namespace vodcache::cache {
 // the triggering window, and both sides' cumulative serve counters at the
 // switch instant.  The snapshots make the warm switch auditable from the
 // report alone: because a shadow cell's counters equal a standalone run of
-// its pair exactly (PR 9's pinned equivalence), the post-switch primary
+// its pair exactly (tests/shadow_bank_test.cpp), the post-switch primary
 // deltas must equal the standalone run's deltas from these marks
 // (pinned in tests/policy_switcher_test.cpp).  The names point at the
 // policy registry's static display strings, so an event outlives its shard.

@@ -11,6 +11,13 @@
 //                 admitted to the cache, a peer is told to read the same
 //                 broadcast off the wire and store it (no extra bandwidth).
 //
+// Every placement decision — admit, locate, serve, fill, evict, wipe — is
+// the primary policy's cache::CacheCell, the same type every shadow cell
+// is.  The server adds what only the primary does around its cell: coax
+// and peer metering, viewer playback occupancy, the media-server serve,
+// the tier walk, and the policy-independent counters (peer failures, wiped
+// bytes, tier hits).
+//
 // With a tier tree configured (beyond the paper's two levels), a miss
 // walks up the tree first: the lowest tier node holding the program in its
 // prefetch plan serves it, and only a full walk-through reaches the
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "cache/admission.hpp"
+#include "cache/cache_cell.hpp"
 #include "cache/segment_store.hpp"
 #include "cache/strategy.hpp"
 #include "core/config.hpp"
@@ -35,40 +43,35 @@ namespace vodcache::core {
 
 class TierSystem;
 
-enum class ServeResult {
-  // A peer broadcast the segment from its cache slice.
-  PeerHit,
-  // Segment not in the neighborhood cache; central server streamed it.
-  MissCold,
-  // Segment cached, but the storing peer was at its stream limit
-  // (section V-C: "the cache will trigger a miss if a segment is requested
-  // from a peer that has more than two active streams").
-  MissBusy,
-};
+using cache::ServeResult;
+
+// The configuration slice every cache cell reads, derived from the system
+// configuration in this one place.
+[[nodiscard]] cache::CellRules cell_rules(const SystemConfig& config);
 
 class IndexServer {
  public:
-  // Composes one eviction scorer with one admission policy.  `scorer` may
-  // be null (StrategyKind::None: no cache at all); `admission` may be null,
-  // which means always-admit (the paper's behaviour) — convenient for
-  // direct construction in tests, while the shard always passes a policy
-  // built from the registry.
+  // `cell` is the primary policy (its peer count is the neighborhood's).
   // `tiers` (owned by the orchestrator, outliving the server) enables the
   // multi-tier miss walk; null is the paper's two-level world.
   // `tier_nodes` is this neighborhood's node path, one node id per level.
+  IndexServer(NeighborhoodId id, const SystemConfig& config,
+              cache::CacheCell cell, MediaServer& media_server,
+              sim::SimTime horizon, const TierSystem* tiers = nullptr,
+              std::vector<std::uint32_t> tier_nodes = {});
+
+  // Direct construction (tests): an unnamed cell composing one eviction
+  // scorer with one admission policy.  `scorer` may be null
+  // (StrategyKind::None: no cache at all); `admission` may be null, which
+  // means always-admit (the paper's behaviour).
   IndexServer(NeighborhoodId id, std::uint32_t peer_count,
               const SystemConfig& config,
               std::unique_ptr<cache::EvictionScorer> scorer,
               std::unique_ptr<cache::AdmissionPolicy> admission,
-              MediaServer& media_server, sim::SimTime horizon,
-              const TierSystem* tiers = nullptr,
-              std::vector<std::uint32_t> tier_nodes = {});
+              MediaServer& media_server, sim::SimTime horizon);
 
-  // Session begins: records the popularity signal and decides whether this
-  // program should (now) be in the cache.  `program_size` is the program's
-  // full footprint at the stream rate (whole-program admission charges it
-  // against capacity immediately).  The decision holds for the whole
-  // session's opportunistic fills.
+  // Session begins: the cell's admit decision (see CacheCell), gated on
+  // this neighborhood's coax meter.
   [[nodiscard]] bool start_session(ProgramId program, DataSize program_size,
                                    sim::SimTime t);
 
@@ -85,22 +88,7 @@ class IndexServer {
   void occupy_viewer_slot(PeerId viewer, sim::Interval interval);
 
   // Failure injection: the peer's disk contents are lost (box swap/crash).
-  // Whole-program admissions survive (the index server re-fills from
-  // future broadcasts); under segment-granularity admission, programs that
-  // lost their last segment are dropped from the strategy's cached set.
   void fail_peer(PeerId peer);
-
-  // Warm policy switch (cache::PolicySwitcher): exchange this server's
-  // cached set and policy state with a shadow cell's — the cell's
-  // SegmentStore, serve slots, scorer, and admission policy become the
-  // primary's (no cold restart), and the old primary state moves out
-  // through the same references (demotion into the cell).  Viewer
-  // playback is policy-independent and stays put, as do counters and
-  // meters: the report remains one continuous per-neighborhood history,
-  // and metering is policy-independent anyway.
-  void swap_policy_state(std::unique_ptr<cache::EvictionScorer>& scorer,
-                         std::unique_ptr<cache::AdmissionPolicy>& admission,
-                         cache::SegmentStore& store, hfc::StreamSlots& slots);
 
   [[nodiscard]] NeighborhoodId id() const { return id_; }
   [[nodiscard]] std::uint32_t peer_count() const {
@@ -109,13 +97,21 @@ class IndexServer {
   [[nodiscard]] const hfc::ViewerOccupancy& viewers() const {
     return viewers_;
   }
-  [[nodiscard]] const cache::SegmentStore& store() const { return store_; }
+  // The primary policy.  The shard's warm policy switch (cache::
+  // PolicySwitcher) swaps it with a shadow cell through the mutable
+  // overload; viewer playback, meters and counters stay put, so the report
+  // remains one continuous per-neighborhood history.
+  [[nodiscard]] const cache::CacheCell& cell() const { return cell_; }
+  [[nodiscard]] cache::CacheCell& cell() { return cell_; }
+  [[nodiscard]] const cache::SegmentStore& store() const {
+    return cell_.store();
+  }
   [[nodiscard]] const cache::EvictionScorer& scorer() const {
-    return *scorer_;
+    return *cell_.scorer();
   }
   // Null means no policy gates admission (always-admit, the paper path).
   [[nodiscard]] const cache::AdmissionPolicy* admission() const {
-    return admission_.get();
+    return cell_.admission();
   }
   // All traffic on this neighborhood's coax (hits and misses alike).
   [[nodiscard]] const sim::RateMeter& coax_meter() const { return coax_meter_; }
@@ -128,20 +124,9 @@ class IndexServer {
     return tier_meters_[level];
   }
 
-  struct Counters {
-    std::uint64_t sessions = 0;
-    std::uint64_t segments = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t cold_misses = 0;
-    std::uint64_t busy_misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t fills = 0;
-    // Sessions whose program the admission policy refused to cache
-    // (always 0 under always-admit; reported only when a gate is active).
-    std::uint64_t admission_denials = 0;
+  // The cell's counters plus what only the primary counts.
+  struct Counters : cache::CellCounters {
     std::uint64_t peer_failures = 0;
-    double hit_bits = 0.0;
-    double miss_bits = 0.0;
     double wiped_bytes = 0.0;
     // Per tier level (SystemConfig::tiers order): neighborhood misses the
     // level's node absorbed.  Empty in the two-level world.
@@ -150,24 +135,11 @@ class IndexServer {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  // Stores `bytes` for `key`, evicting strictly-lower-scored programs until
-  // the store can physically place it (per-peer placement: aggregate free
-  // space is not enough).  Returns false, storing nothing, if the incoming
-  // program stops outranking the next victim first.
-  bool make_room(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
-  void try_fill(cache::SegmentKey key, DataSize bytes, sim::SimTime t);
-  // The admission policy's verdict for a program missed at `t` (counts a
-  // denial).  True when no policy is configured.
-  [[nodiscard]] bool admission_allows(ProgramId program, sim::SimTime t);
-
   NeighborhoodId id_;
   const SystemConfig& config_;
-  std::unique_ptr<cache::EvictionScorer> scorer_;
-  std::unique_ptr<cache::AdmissionPolicy> admission_;
+  cache::CacheCell cell_;
   MediaServer& media_server_;
-  cache::SegmentStore store_;
   hfc::ViewerOccupancy viewers_;
-  hfc::StreamSlots slots_;
   sim::RateMeter coax_meter_;
   sim::RateMeter peer_meter_;
   const TierSystem* tiers_;

@@ -21,8 +21,11 @@ NeighborhoodShard::NeighborhoodShard(
       ledger_(catalog.size(), config.strategy.lfu_history, board_,
               board_ != nullptr ? &clock_ : nullptr),
       media_(horizon, config.meter_bucket),
-      server_(id, peer_count, config, make_scorer(), make_admission(), media_,
-              horizon, tiers, std::move(tier_nodes)),
+      server_(id, config,
+              make_cell(scorer_entry(config.strategy.kind),
+                        admission_entry(config.admission_policy.kind),
+                        peer_count),
+              media_, horizon, tiers, std::move(tier_nodes)),
       failures_(std::move(failures)) {
   VODCACHE_EXPECTS(future_ != nullptr);
   if (config_.shadow_matrix || config_.policy_switch) {
@@ -32,52 +35,36 @@ NeighborhoodShard::NeighborhoodShard(
     switcher_ = std::make_unique<cache::PolicySwitcher>(
         config_.switch_window, config_.switch_windows_k,
         shadow_->pair_count());
-    primary_scorer_name_ = scorer_entry(config_.strategy.kind).display;
-    primary_admission_name_ =
-        admission_entry(config_.admission_policy.kind).display;
   }
 }
 
-std::unique_ptr<cache::EvictionScorer> NeighborhoodShard::make_scorer() {
+cache::CacheCell NeighborhoodShard::make_cell(const ScorerEntry& scorer,
+                                             const AdmissionEntry& admission,
+                                             std::uint32_t peer_count) {
+  // Every cell shares this shard's scorer context: all read the shard's
+  // access ledger (GlobalLFU shadows its replay cursor), Oracle cells the
+  // same future index — the orchestrator's prepass gating covers the
+  // shadows because PrepassNeeds treats shadow_matrix like running those
+  // strategies.
   const ScorerContext context{config_.strategy, catalog_, future_, &ledger_};
-  return scorer_entry(config_.strategy.kind).make(context);
-}
-
-std::unique_ptr<cache::AdmissionPolicy> NeighborhoodShard::make_admission() {
+  auto policy = scorer.make(context);
   // No cache, no admission question.
-  if (config_.strategy.kind == StrategyKind::None) return nullptr;
-  return admission_entry(config_.admission_policy.kind).make(config_);
+  auto gate = policy != nullptr ? admission.make(config_) : nullptr;
+  return cache::CacheCell(scorer.display, admission.display, std::move(policy),
+                          std::move(gate), cell_rules(config_), peer_count);
 }
 
 std::unique_ptr<cache::ShadowBank> NeighborhoodShard::make_shadow_bank(
     std::uint32_t peer_count) {
-  // Every pair shares this shard's scorer context: all read the shard's
-  // access ledger (GlobalLFU shadows its replay cursor), Oracle shadows the
-  // same future index — the orchestrator's prepass gating covers them
-  // because PrepassNeeds treats shadow_matrix like running those
-  // strategies.
-  const ScorerContext context{config_.strategy, catalog_, future_, &ledger_};
-  std::vector<cache::ShadowBank::PairSpec> pairs;
+  std::vector<cache::CacheCell> cells;
   for (const auto& scorer : scorer_registry()) {
     if (scorer.kind == StrategyKind::None) continue;
     for (const auto& admission : admission_registry()) {
-      cache::ShadowBank::PairSpec pair;
-      pair.scorer_display = scorer.display;
-      pair.admission_display = admission.display;
-      pair.scorer = scorer.make(context);
-      pair.admission = admission.make(config_);
-      pairs.push_back(std::move(pair));
+      cells.push_back(make_cell(scorer, admission, peer_count));
     }
   }
-  cache::ShadowBank::Settings settings;
-  settings.whole_program = config_.admission == CacheAdmission::WholeProgram;
-  settings.replicate_on_busy = config_.replicate_on_busy;
-  settings.peer_stream_limit = config_.peer_stream_limit;
-  settings.stream_rate = config_.stream_rate;
-  settings.per_peer_storage = config_.per_peer_storage;
   return std::make_unique<cache::ShadowBank>(
-      std::move(pairs), settings, peer_count, &server_.coax_meter(),
-      &server_.viewers());
+      std::move(cells), &server_.coax_meter(), &server_.viewers());
 }
 
 void NeighborhoodShard::apply_failures(sim::SimTime now) {
@@ -99,11 +86,11 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   if (!decision) return;
 
   const std::size_t winner = decision->cell;
-  const cache::ShadowCounters& winner_counters = shadow_->counters(winner);
+  const cache::CellCounters& winner_counters = shadow_->counters(winner);
   cache::SwitchEvent event;
   event.time = t;
-  event.from_scorer = primary_scorer_name_;
-  event.from_admission = primary_admission_name_;
+  event.from_scorer = server_.cell().scorer_name();
+  event.from_admission = server_.cell().admission_name();
   event.to_scorer = shadow_->scorer_name(winner);
   event.to_admission = shadow_->admission_name(winner);
   event.cell = winner;
@@ -117,16 +104,12 @@ void NeighborhoodShard::maybe_switch(sim::SimTime t) {
   event.winner_busy_misses = winner_counters.busy_misses;
   switch_log_.push_back(event);
 
-  // The warm swap: the winning cell's store/slots/policy state becomes the
-  // primary's, the demoted primary state drops into the cell.  From here
-  // on the primary replays exactly what the cell's standalone run would —
-  // which is what makes the at-switch counter snapshots above a pinnable
-  // equivalence (tests/policy_switcher_test.cpp).
-  auto cell = shadow_->cell_state(winner);
-  server_.swap_policy_state(cell.scorer, cell.admission, cell.store,
-                            cell.slots);
-  std::swap(primary_scorer_name_, cell.scorer_display);
-  std::swap(primary_admission_name_, cell.admission_display);
+  // The warm swap: the winning cell becomes the primary's, the demoted
+  // primary cell takes its bank slot.  Counters stay with their side.  From
+  // here on the primary replays exactly what the cell's standalone run
+  // would — which is what makes the at-switch counter snapshots above a
+  // pinnable equivalence (tests/policy_switcher_test.cpp).
+  std::swap(server_.cell(), shadow_->cell(winner));
 
   // In-flight sessions carry their whole-session admit decisions in the
   // slot lanes; those decisions belong to the *state* that made them, so

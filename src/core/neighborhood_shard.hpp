@@ -63,6 +63,9 @@
 
 namespace vodcache::core {
 
+struct AdmissionEntry;
+struct ScorerEntry;
+
 class NeighborhoodShard {
  public:
   // One of this shard's sessions as delivered by the streaming demux: the
@@ -176,12 +179,12 @@ class NeighborhoodShard {
   // trace record with start >= t (all earlier starts ran before us).
   void advance_clock_to_boundary(sim::SimTime t);
 
-  // Policy-engine instantiation through the registry (config's strategy
-  // and admission kinds, this shard's context).
-  [[nodiscard]] std::unique_ptr<cache::EvictionScorer> make_scorer();
-  [[nodiscard]] std::unique_ptr<cache::AdmissionPolicy> make_admission();
-  // Shadow-matrix mode: one shadow per registered (scorer x admission)
-  // pair, scorer-major in registry order, StrategyKind::None skipped.
+  // One cache cell of the given registry pair, in this shard's context.
+  [[nodiscard]] cache::CacheCell make_cell(const ScorerEntry& scorer,
+                                           const AdmissionEntry& admission,
+                                           std::uint32_t peer_count);
+  // Shadow-matrix mode: one cell per registered (scorer x admission) pair,
+  // scorer-major in registry order, StrategyKind::None skipped.
   [[nodiscard]] std::unique_ptr<cache::ShadowBank> make_shadow_bank(
       std::uint32_t peer_count);
 
@@ -205,10 +208,6 @@ class NeighborhoodShard {
   std::unique_ptr<cache::ShadowBank> shadow_;
   // Policy-switch mode only (null otherwise).
   std::unique_ptr<cache::PolicySwitcher> switcher_;
-  // The primary's current pair, for the switch log (registry display
-  // names; exchanged with the cell's on every swap).
-  const char* primary_scorer_name_ = "";
-  const char* primary_admission_name_ = "";
   std::vector<cache::SwitchEvent> switch_log_;
 
   // Session slots, structure-of-arrays.  A free slot holds kFreeSlot in

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cache/policy_switcher.hpp"
-#include "cache/shadow_bank.hpp"
+#include "cache/cache_cell.hpp"
 #include "core/config.hpp"
 #include "sim/peak_stats.hpp"
 #include "util/units.hpp"
@@ -62,7 +62,7 @@ struct ShadowCellReport {
   std::string scorer;
   std::string admission;
   // Summed across neighborhoods in shard order.
-  cache::ShadowCounters counters;
+  cache::CellCounters counters;
 
   [[nodiscard]] double hit_ratio() const {
     const std::uint64_t total =

@@ -80,6 +80,10 @@ class ShardedSimulation {
   }
 
  private:
+  // Takes ownership of the Trace constructor's TraceSource.
+  ShardedSimulation(std::unique_ptr<trace::SessionSource> owned,
+                    SystemConfig config);
+
   // Which whole-trace prepass products this config needs.
   struct PrepassNeeds {
     bool board = false;   // GlobalLFU popularity timeline

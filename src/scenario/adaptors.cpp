@@ -13,10 +13,6 @@ namespace vodcache::scenario {
 
 namespace {
 
-[[noreturn]] void spec_error(const std::string& what) {
-  throw std::runtime_error("scenario: " + what);
-}
-
 // Clamp a remapped session inside its new program.
 void retarget(trace::SessionRecord& record, std::uint32_t program,
               const trace::Catalog& catalog) {
@@ -139,12 +135,35 @@ class NeighborhoodSkewStream final : public trace::SessionStream {
 
 }  // namespace
 
+void scenario_error(const std::string& what) {
+  throw std::runtime_error("scenario: " + what);
+}
+
+void check_fits(const FlashCrowdSpec& spec, sim::SimTime horizon) {
+  if (spec.start + spec.duration > horizon) {
+    scenario_error("flash_crowd window ends past the workload horizon (" +
+                   std::to_string(horizon.millis_count() /
+                                  sim::SimTime::hours(1).millis_count()) +
+                   " h)");
+  }
+}
+
+void check_fits(const ReleaseWavesSpec& spec, std::uint32_t catalog_size) {
+  if (spec.wave_size == 0 || spec.wave_size > catalog_size) {
+    scenario_error("release_waves wave_size must be in [1, catalog size]");
+  }
+}
+
+void check_fits(const NeighborhoodSkewSpec& spec, std::uint32_t catalog_size) {
+  if (spec.regions > catalog_size) {
+    scenario_error("neighborhood_skew regions exceeds the catalog size");
+  }
+}
+
 FlashCrowdSource::FlashCrowdSource(const trace::SessionSource& input,
                                    const FlashCrowdSpec& spec)
     : input_(&input), spec_(spec) {
-  if (spec.start + spec.duration > input.horizon()) {
-    spec_error("flash_crowd window ends past the workload horizon");
-  }
+  check_fits(spec, input.horizon());
   // Rank the programs available at the window start by base weight (ties:
   // lower id), then pick the title_rank-th — "the premiere everyone tunes
   // into" is the hottest thing actually on the shelf.
@@ -158,7 +177,7 @@ FlashCrowdSource::FlashCrowdSource(const trace::SessionSource& input,
     message << "flash_crowd title_rank " << spec.title_rank << " out of range:"
             << " only " << available.size()
             << " programs are introduced by the window start";
-    spec_error(message.str());
+    scenario_error(message.str());
   }
   std::nth_element(
       available.begin(), available.begin() + (spec.title_rank - 1),
@@ -181,9 +200,7 @@ ReleaseWavesSource::ReleaseWavesSource(const trace::SessionSource& input,
     : input_(&input), spec_(spec) {
   const auto catalog_size =
       static_cast<std::uint32_t>(input.catalog().size());
-  if (spec.wave_size == 0 || spec.wave_size > catalog_size) {
-    spec_error("release_waves wave_size must be in [1, catalog size]");
-  }
+  check_fits(spec, catalog_size);
   const auto period_ms = spec.period.millis_count();
   const auto waves = static_cast<std::size_t>(
       (input.horizon().millis_count() + period_ms - 1) / period_ms);
@@ -219,7 +236,7 @@ NeighborhoodSkewSource::NeighborhoodSkewSource(
     message << "neighborhood_skew hot_neighborhoods " << spec.hot_neighborhoods
             << " out of range: the run has " << topology_.neighborhood_count()
             << " neighborhoods (users / neighborhood size)";
-    spec_error(message.str());
+    scenario_error(message.str());
   }
   if (spec.population_share > 0.0) {
     for (std::uint32_t u = 0; u < input.user_count(); ++u) {
@@ -235,9 +252,7 @@ NeighborhoodSkewSource::NeighborhoodSkewSource(
   if (spec.regions > 0) {
     const auto& programs = input.catalog().programs();
     const auto catalog_size = static_cast<std::uint32_t>(programs.size());
-    if (spec.regions > catalog_size) {
-      spec_error("neighborhood_skew regions exceeds the catalog size");
-    }
+    check_fits(spec, catalog_size);
     region_programs_.resize(spec.regions);
     // Slice r covers the contiguous id range [r*C/R, (r+1)*C/R); only
     // back-catalog programs (introduced at or before time 0) are redirect

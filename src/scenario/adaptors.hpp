@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hfc/topology.hpp"
@@ -28,6 +29,17 @@
 #include "trace/session_source.hpp"
 
 namespace vodcache::scenario {
+
+// Throws std::runtime_error("scenario: " + what).
+[[noreturn]] void scenario_error(const std::string& what);
+
+// The spec checks that need the wrapped workload's horizon or catalog
+// size.  Each adaptor's constructor runs its check on the input source;
+// ScenarioSpec::validate runs all three on the configured workload before
+// any source exists.  Each throws through scenario_error().
+void check_fits(const FlashCrowdSpec& spec, sim::SimTime horizon);
+void check_fits(const ReleaseWavesSpec& spec, std::uint32_t catalog_size);
+void check_fits(const NeighborhoodSkewSpec& spec, std::uint32_t catalog_size);
 
 // Flash crowd: redirects `capture` of the sessions inside the window to
 // one hot title (see FlashCrowdSpec).  The target is resolved eagerly from

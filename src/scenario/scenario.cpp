@@ -20,10 +20,6 @@ namespace {
   throw std::runtime_error(message.str());
 }
 
-[[noreturn]] void validate_fail(const std::string& what) {
-  throw std::runtime_error("scenario: " + what);
-}
-
 std::string_view trim(std::string_view text) {
   while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
     text.remove_prefix(1);
@@ -134,46 +130,36 @@ ScenarioSpec load_scenario_file(const std::string& path,
 
 void ScenarioSpec::validate(const core::SystemConfig& system) const {
   const auto horizon = sim::SimTime::days(workload.days);
-  if (flash_crowd.enabled) {
-    if (flash_crowd.start + flash_crowd.duration > horizon) {
-      validate_fail(std::string("flash_crowd window ends past the workload "
-                                "horizon (") +
-                    std::to_string(workload.days) + " days)");
-    }
-  }
+  if (flash_crowd.enabled) check_fits(flash_crowd, horizon);
   if (release_waves.enabled) {
     if (release_waves.period > horizon) {
-      validate_fail("release_waves period exceeds the workload horizon");
+      scenario_error("release_waves period exceeds the workload horizon");
     }
-    if (release_waves.wave_size > workload.program_count) {
-      validate_fail("release_waves wave_size exceeds the catalog size");
-    }
+    check_fits(release_waves, workload.program_count);
   }
   if (skew.enabled) {
-    if (skew.regions > workload.program_count) {
-      validate_fail("neighborhood_skew regions exceeds the catalog size");
-    }
+    check_fits(skew, workload.program_count);
     if (skew.population_share == 0.0 && skew.regions == 0) {
-      validate_fail(
+      scenario_error(
           "neighborhood_skew enabled but both population_share and regions "
           "are off — delete the section or give it an effect");
     }
     if (skew.regions > 0 && skew.regional_affinity == 0.0) {
-      validate_fail(
+      scenario_error(
           "neighborhood_skew has regions but regional_affinity = 0; set an "
           "affinity or drop the regions key");
     }
   }
   if (storm.enabled) {
     if (storm.start > horizon) {
-      validate_fail("failure_storm starts past the workload horizon");
+      scenario_error("failure_storm starts past the workload horizon");
     }
   }
   check_options(system);
   for (const auto& tier : system.tiers) {
     for (const auto& outage : tier.outages) {
       if (outage.start > horizon) {
-        validate_fail("tiers outage starts past the workload horizon");
+        scenario_error("tiers outage starts past the workload horizon");
       }
     }
   }
@@ -192,10 +178,11 @@ void apply_storm(const FailureStormSpec& storm, core::SystemConfig& config) {
   }
 }
 
-void stack_adaptors(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
+void build_workload(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
                     const ScenarioSpec& spec,
                     const core::SystemConfig& system) {
   spec.validate(system);
+  parts.push_back(std::make_unique<trace::GeneratorSource>(spec.workload));
   // Skew first, flash crowd last: the premiere spike overrides background
   // churn, not the other way round (documented in scenario.hpp).
   if (spec.skew.enabled) {
@@ -214,8 +201,7 @@ void stack_adaptors(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
 
 ScenarioWorkload::ScenarioWorkload(const ScenarioSpec& spec,
                                    const core::SystemConfig& system) {
-  parts_.push_back(std::make_unique<trace::GeneratorSource>(spec.workload));
-  stack_adaptors(parts_, spec, system);
+  build_workload(parts_, spec, system);
 }
 
 }  // namespace vodcache::scenario

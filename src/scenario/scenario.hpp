@@ -139,17 +139,18 @@ struct ScenarioSpec {
 // start + k * period with seed `seed + k`.
 void apply_storm(const FailureStormSpec& storm, core::SystemConfig& config);
 
-// Validates the spec against `system` and stacks its enabled adaptors
-// (skew, then release waves, then flash crowd — so the spike wins over
-// background churn) onto `parts.back()`; every new link is appended so the
-// caller keeps the whole chain alive.  `system` must be the configuration
-// the simulation will actually run with (the skew adaptor replays the
-// topology's placement).
-void stack_adaptors(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
+// The one builder of a generated workload: validates the spec against
+// `system`, then appends the generator for spec.workload and its enabled
+// adaptors (skew, then release waves, then flash crowd — so the spike wins
+// over background churn) to `parts`, which keeps every link alive;
+// `parts.back()` is the composed workload.  `system` must be the
+// configuration the simulation will actually run with (the skew adaptor
+// replays the topology's placement).
+void build_workload(std::vector<std::unique_ptr<trace::SessionSource>>& parts,
                     const ScenarioSpec& spec,
                     const core::SystemConfig& system);
 
-// Convenience owner for tests and benches: generator + adaptors in one
+// Convenience owner for tests and benches: build_workload's chain in one
 // object.  `source()` is the composed workload.
 class ScenarioWorkload {
  public:

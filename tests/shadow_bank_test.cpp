@@ -14,7 +14,8 @@
 //    counts {1, 2, 8, 16} (per-shard single-owner shadows, fixed-order
 //    merge);
 //  * the primary report with the shadow section stripped serializes to
-//    exactly the bytes of a shadow-off run, for every thread count.
+//    exactly the bytes of a shadow-off run, for every thread count and
+//    every configuration the per-cell state touches.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -93,15 +94,15 @@ const CellVariant kCellVariants[] = {
      }},
 };
 
-// The report's cross-shard merge is ShadowCounters::operator+=: it must
+// The report's cross-shard merge is CellCounters::operator+=: it must
 // add every field, integer and byte counters alike.
-TEST(ShadowCounters, PlusEqualsAddsEveryField) {
-  cache::ShadowCounters sum{1, 2, 3, 4, 5, 6, 7, 8, 9.5, 10.5};
-  sum += cache::ShadowCounters{10, 20, 30, 40, 50, 60, 70, 80, 90.0, 100.0};
-  const cache::ShadowCounters expected{11, 22, 33, 44, 55,
-                                       66, 77, 88, 99.5, 110.5};
+TEST(CellCounters, PlusEqualsAddsEveryField) {
+  cache::CellCounters sum{1, 2, 3, 4, 5, 6, 7, 8, 9.5, 10.5};
+  sum += cache::CellCounters{10, 20, 30, 40, 50, 60, 70, 80, 90.0, 100.0};
+  const cache::CellCounters expected{11, 22, 33, 44, 55,
+                                     66, 77, 88, 99.5, 110.5};
   EXPECT_EQ(sum, expected);
-  EXPECT_FALSE(sum == cache::ShadowCounters{});
+  EXPECT_FALSE(sum == cache::CellCounters{});
 }
 
 // Every (scorer x admission) cell of one shadow pass must reproduce the
@@ -190,28 +191,32 @@ TEST(ShadowBank, MatrixIsBitIdenticalAcrossThreadCounts) {
 // Shadows observe; they must not perturb.  Stripping the shadow section
 // from a shadow-on report leaves exactly the bytes of a shadow-off run —
 // the primary's placement, metering, and counters are untouched — at
-// every thread count.
+// every thread count, in every configuration of kCellVariants.
 TEST(ShadowBank, PrimaryReportByteIdenticalWithShadowsOn) {
   const auto trace = shadow_trace();
-  auto config = shadow_config();
+  for (const CellVariant& variant : kCellVariants) {
+    SCOPED_TRACE(variant.label);
+    auto config = shadow_config();
+    variant.apply(config);
 
-  config.shadow_matrix = false;
-  config.threads = 1;
-  VodSystem baseline_system(trace, config);
-  const auto baseline = baseline_system.run();
-  const std::string baseline_json = to_json(baseline);
-  const std::string baseline_text = baseline.to_string();
+    config.shadow_matrix = false;
+    config.threads = 1;
+    VodSystem baseline_system(trace, config);
+    const auto baseline = baseline_system.run();
+    const std::string baseline_json = to_json(baseline);
+    const std::string baseline_text = baseline.to_string();
 
-  for (const std::uint32_t threads : {1u, 2u, 8u, 16u}) {
-    auto shadow_cfg = config;
-    shadow_cfg.shadow_matrix = true;
-    shadow_cfg.threads = threads;
-    VodSystem system(trace, shadow_cfg);
-    auto report = system.run();
-    EXPECT_FALSE(report.shadow_matrix.empty());
-    report.shadow_matrix.clear();
-    EXPECT_EQ(to_json(report), baseline_json) << "threads=" << threads;
-    EXPECT_EQ(report.to_string(), baseline_text) << "threads=" << threads;
+    for (const std::uint32_t threads : {1u, 2u, 8u, 16u}) {
+      auto shadow_cfg = config;
+      shadow_cfg.shadow_matrix = true;
+      shadow_cfg.threads = threads;
+      VodSystem system(trace, shadow_cfg);
+      auto report = system.run();
+      EXPECT_FALSE(report.shadow_matrix.empty());
+      report.shadow_matrix.clear();
+      EXPECT_EQ(to_json(report), baseline_json) << "threads=" << threads;
+      EXPECT_EQ(report.to_string(), baseline_text) << "threads=" << threads;
+    }
   }
 }
 

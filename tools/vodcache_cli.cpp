@@ -282,18 +282,18 @@ SourceChain open_source(const CliOptions& options) {
     std::cerr << "generating " << workload.days << "-day workload ("
               << workload.user_count << " users, " << workload.program_count
               << " programs)...\n";
-    chain.parts.push_back(std::make_unique<trace::GeneratorSource>(workload));
     if (options.scenario_file) {
       std::cerr << "applying scenario '" << options.scenario.name << "'";
       if (!options.scenario.summary.empty()) {
         std::cerr << " (" << options.scenario.summary << ")";
       }
       std::cerr << "...\n";
-      // Validated against the *final* workload and system — later CLI
-      // flags may have overridden the file's keys (the skew adaptor
-      // replays the final neighborhood placement).
-      scenario::stack_adaptors(chain.parts, options.scenario, options.system);
     }
+    // Validated against the *final* workload and system — later CLI flags
+    // may have overridden the file's keys (the skew adaptor replays the
+    // final neighborhood placement).  Without a scenario file no adaptor
+    // section is enabled, so this is the bare generator.
+    scenario::build_workload(chain.parts, options.scenario, options.system);
   }
   const bool scaled = options.scale_pop > 1 || options.scale_cat > 1;
   if (options.scale_pop > 1) {
